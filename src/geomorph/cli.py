@@ -95,28 +95,37 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
+def _evaluated(pf: ParadigmFile, corners, gold, expo):
+    """Evaluate `expo` against gold; also the report sections select and train share."""
+    acts = activations(corners, expo)
+    ev = evaluate(acts, gold)
+    fs = pf.feature_system()
+    sections = {
+        "exponents": rpt.labeled_matrix(fs.value_names, expo.morphemes, expo.matrix),
+        "activations": rpt.labeled_matrix(
+            [c.label() for c in acts.row_labels], acts.morphemes, acts.matrix
+        ),
+        "winners": [w if w is not None else "-" for w in ev.predicted],
+    }
+    return ev, sections
+
+
 def cmd_select(args) -> int:
     pf = load_paradigm(args.paradigm)
     corners, gold = _single_pipeline(pf)
     expo = initial_exponents(corners, gold)
-    acts = activations(corners, expo)
-    ev = evaluate(acts, gold)
-    fs = pf.feature_system()
+    ev, sections = _evaluated(pf, corners, gold, expo)
     report = rpt.build_report(
         "select",
         {"paradigm": args.paradigm},
-        exponents=rpt.labeled_matrix(fs.value_names, expo.morphemes, expo.matrix),
-        activations=rpt.labeled_matrix(
-            [c.label() for c in acts.row_labels], acts.morphemes, acts.matrix
-        ),
-        winners=[w if w is not None else "-" for w in ev.predicted],
+        **sections,
         gold=list(ev.gold),
         margins=list(ev.margins),
         min_margin=ev.min_margin,
         mismatches=list(ev.mismatch_labels()),
-        ties=[acts.row_labels[i].label() for i in ev.ties],
+        ties=[ev.row_labels[i].label() for i in ev.ties],
         correct=ev.num_correct,
-        cells=len(acts.row_labels),
+        cells=len(ev.row_labels),
     )
     emit(args, report)
     return EXIT_TIE if ev.ties else EXIT_OK
@@ -135,9 +144,7 @@ def cmd_train(args) -> int:
             rpt.dumps_line(record) for record in trace.as_dicts()
         )
         Path(args.trace).write_text(lines, encoding="utf-8")
-    acts = activations(corners, trained)
-    ev = evaluate(acts, gold)
-    fs = pf.feature_system()
+    ev, sections = _evaluated(pf, corners, gold, trained)
     report = rpt.build_report(
         "train",
         {
@@ -146,11 +153,7 @@ def cmd_train(args) -> int:
             "error_driven": args.error_driven,
             "max_iters": args.max_iters,
         },
-        exponents=rpt.labeled_matrix(fs.value_names, trained.morphemes, trained.matrix),
-        activations=rpt.labeled_matrix(
-            [c.label() for c in acts.row_labels], acts.morphemes, acts.matrix
-        ),
-        winners=[w if w is not None else "-" for w in ev.predicted],
+        **sections,
         mismatches=list(ev.mismatch_labels()),
         min_margin=ev.min_margin,
         converged=trace.converged,

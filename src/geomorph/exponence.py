@@ -148,21 +148,38 @@ def activations(corners: CornerMatrix, expo: ExponentMatrix) -> ActivationMatrix
     )
 
 
+def gold_margins(acts: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Per row, the gold exponent's activation minus its best rival's.
+
+    `gold` is a boolean mask of the same shape with one True per row (a 1-D
+    row gives a one-element result). The margin is inf without rivals, and
+    it is > 0 exactly when gold wins the row under the tie rule of `decide`.
+    """
+    return acts[gold] - np.where(gold, -np.inf, acts).max(axis=-1)
+
+
+def decide(acts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model's one decision over a cells x exponents activation matrix.
+
+    Returns the winner index per row, -1 where the row maximum is shared,
+    and the top-minus-runner-up margin per row (inf with one exponent).
+    Tie rule: an exponent wins a cell only when its activation is strictly
+    greater than every other one in that row, compared as exact floats; no
+    tolerance is applied.
+    """
+    first = acts.argmax(axis=1)
+    margins = gold_margins(acts, np.arange(acts.shape[1]) == first[:, None])
+    return np.where(margins > 0, first, -1), margins
+
+
 def select_winners(acts: ActivationMatrix) -> tuple[SelectionTable, list[int]]:
     """Strict row-wise argmax. Tied rows select nothing and are reported.
 
     Returns the selection table and the indices of tied rows.
     """
-    a = acts.matrix
-    out = np.zeros_like(a)
-    ties = []
-    for i in range(a.shape[0]):
-        top = a[i].max()
-        js = np.flatnonzero(a[i] == top)
-        if len(js) == 1:
-            out[i, js[0]] = 1.0
-        else:
-            ties.append(i)
+    winners, _ = decide(acts.matrix)
+    out = (winners[:, None] == np.arange(acts.matrix.shape[1])).astype(float)
+    ties = np.flatnonzero(winners < 0).tolist()
     return SelectionTable(acts.row_labels, acts.morphemes, out), ties
 
 
@@ -195,20 +212,14 @@ def evaluate(acts: ActivationMatrix, gold: SelectionTable) -> EvaluationReport:
     if acts.matrix.shape != gold.matrix.shape or acts.morphemes != gold.morphemes:
         raise ShapeMismatch("activation and gold tables do not line up")
     gold.require_one_hot()
-    predicted, ties = select_winners(acts)
-    margins = []
-    mismatches = []
-    for i in range(acts.matrix.shape[0]):
-        row = np.sort(acts.matrix[i])[::-1]
-        margins.append(float(row[0] - row[1]) if len(row) > 1 else float("inf"))
-        if predicted.winner(i) != gold.winner(i):
-            mismatches.append(i)
+    winners, margins = decide(acts.matrix)
+    gold_idx = gold.matrix.argmax(axis=1)
     return EvaluationReport(
         acts.row_labels,
         acts.morphemes,
-        predicted.winners(),
-        gold.winners(),
-        tuple(margins),
-        tuple(mismatches),
-        tuple(ties),
+        tuple(acts.morphemes[j] if j >= 0 else None for j in winners.tolist()),
+        tuple(acts.morphemes[j] for j in gold_idx.tolist()),
+        tuple(margins.tolist()),
+        tuple(np.flatnonzero(winners != gold_idx).tolist()),
+        tuple(np.flatnonzero(winners < 0).tolist()),
     )

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import BadAxis, EmptyFilter, ShapeMismatch
 from .exponence import (
+    CountArray,
     ExponentMatrix,
     SelectionTable,
     activations,
     count_features,
+    gold_margins,
     normalize_columns,
     select_winners,
 )
@@ -113,15 +115,10 @@ def weighted_counts(inv: ClassInventory, min_lexemes: int = 3):
     kept = [c for c in inv.labels() if inv.lexeme_counts[c] >= min_lexemes]
     if not kept:
         raise EmptyFilter(f"no class has at least {min_lexemes} lexemes")
-    total = np.zeros((inv.corners.matrix.shape[1], len(inv.morphemes)))
-    for label in kept:
-        w = float(inv.lexeme_counts[label])
-        counts = count_features(
-            inv.corners, inv.classes[label], weights=[w] * inv.corners.num_cells
-        )
-        total += counts.matrix
-    from .exponence import CountArray
-
+    total = sum(
+        inv.lexeme_counts[label] * count_features(inv.corners, inv.classes[label]).matrix
+        for label in kept
+    )
     return CountArray(inv.morphemes, total), kept
 
 
@@ -149,6 +146,9 @@ def sigmoid_gain(a_winner: float, a_intended: float) -> float:
     return 1.0 / (1.0 + math.exp(-2.0 * (a_winner - a_intended))) ** 2
 
 
+_RUN_SEED_STRIDE = 1_009  # per-class offset between run seeds
+
+
 @dataclass(frozen=True)
 class RotationLearnConfig:
     base_increment: float = 0.1  # radians per sub-iteration before gain
@@ -162,6 +162,10 @@ class RotationLearnConfig:
             raise ValueError("base_increment must be positive")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.runs >= _RUN_SEED_STRIDE:
+            raise ValueError(
+                f"runs must be below {_RUN_SEED_STRIDE}, or run seeds repeat across classes"
+            )
 
 
 @dataclass
@@ -172,17 +176,9 @@ class RotationLearnResult:
     min_margin: float
 
 
-def _margins_ok(acts: np.ndarray, target: np.ndarray, floor: float) -> tuple[bool, float]:
-    worst = math.inf
-    ok = True
-    for i in range(acts.shape[0]):
-        j = int(np.argmax(target[i]))
-        rest = np.delete(acts[i], j)
-        margin = float(acts[i, j] - rest.max())
-        worst = min(worst, margin)
-        if margin <= 0:
-            ok = False
-    return ok and worst >= floor, worst
+def _margins_ok(acts: np.ndarray, is_goal: np.ndarray, floor: float) -> tuple[bool, float]:
+    worst = float(gold_margins(acts, is_goal).min(initial=math.inf))
+    return worst > 0 and worst >= floor, worst
 
 
 def learn_class_rotation(
@@ -212,9 +208,8 @@ def learn_class_rotation(
     if rng is None:
         rng = random.Random(cfg.seed)
     b = np.array(base.matrix)
-    dim, nmorph = b.shape
     phi = corners.matrix
-    goal = target.matrix
+    is_goal = target.matrix == 1.0
     plan: list[PlaneRotation] = []
 
     def current_result(iterations, converged, worst):
@@ -222,26 +217,24 @@ def learn_class_rotation(
             RotationPlan(class_label, tuple(plan)), iterations, converged, worst
         )
 
-    ok, worst = _margins_ok(phi @ b, goal, cfg.margin_floor)
+    ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
     if ok:
         return current_result(0, True, worst)
 
     cell_coords = [list(np.flatnonzero(phi[i])) for i in range(phi.shape[0])]
+    goal_index = target.matrix.argmax(axis=1).tolist()
     for it in range(1, cfg.max_iters + 1):
         for i in range(phi.shape[0]):
             acts = phi[i] @ b
-            j_star = int(np.argmax(goal[i]))
-            rival = max(
-                (j for j in range(nmorph) if j != j_star), key=lambda j: acts[j]
-            )
+            j_star = goal_index[i]
+            # masked argmaxes: equal values go to the lowest index, as plans expect
+            rival = int(np.argmax(np.where(is_goal[i], -np.inf, acts)))
             gain = sigmoid_gain(float(acts[rival]), float(acts[j_star]))
             theta = cfg.base_increment * gain
             toward = rng.choice(cell_coords[i])
             advantage = b[:, j_star] - b[:, rival]
-            away = max(
-                (k for k in range(dim) if k != toward),
-                key=lambda k: (advantage[k], -k),
-            )
+            advantage[toward] = -np.inf
+            away = int(np.argmax(advantage))
             c, s = math.cos(theta), math.sin(theta)
             x_away, x_toward = b[away].copy(), b[toward].copy()
             # counter-clockwise candidate in the (away, toward) plane
@@ -256,10 +249,10 @@ def learn_class_rotation(
                 b[away] = c * x_away + s * x_toward
                 b[toward] = -s * x_away + c * x_toward
             plan.append(PlaneRotation(away, toward, signed))
-            ok, worst = _margins_ok(phi @ b, goal, cfg.margin_floor)
+            ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
             if ok:
                 return current_result(it, True, worst)
-    _, worst = _margins_ok(phi @ b, goal, cfg.margin_floor)
+    _, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
     return current_result(cfg.max_iters, False, worst)
 
 
@@ -292,7 +285,7 @@ def learn_all_classes(
         margins = []
         first_plan = None
         for run in range(cfg.runs):
-            rng = random.Random(cfg.seed * 1_000_003 + ci * 1_009 + run)
+            rng = random.Random(cfg.seed * 1_000_003 + ci * _RUN_SEED_STRIDE + run)
             res = learn_class_rotation(
                 base, inv.corners, inv.classes[label], cfg, label, rng
             )

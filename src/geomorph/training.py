@@ -19,7 +19,7 @@ from .exponence import (
     SelectionTable,
     activations,
     evaluate,
-    select_winners,
+    gold_margins,
 )
 from .features import CornerMatrix
 
@@ -64,12 +64,6 @@ class TrainTrace:
         ]
 
 
-def _is_correct(row_acts: np.ndarray, gold_row: np.ndarray) -> bool:
-    top = row_acts.max()
-    js = np.flatnonzero(row_acts == top)
-    return len(js) == 1 and gold_row[js[0]] == 1.0
-
-
 def delta_step(
     expo: ExponentMatrix,
     corners: CornerMatrix,
@@ -83,11 +77,12 @@ def delta_step(
     """
     gold.require_one_hot()
     b = np.array(expo.matrix)
+    is_gold = gold.matrix == 1.0
     updated: set[int] = set()
     for i in range(corners.num_cells):
         corner = corners.matrix[i]
         acts = corner @ b
-        if cfg.error_driven and _is_correct(acts, gold.matrix[i]):
+        if cfg.error_driven and gold_margins(acts, is_gold[i])[0] > 0:
             continue
         if cfg.eta == 0.0:
             continue
@@ -132,16 +127,10 @@ def train(
     return b, trace
 
 
-def predicted_table(expo: ExponentMatrix, corners: CornerMatrix) -> SelectionTable:
-    table, _ = select_winners(activations(corners, expo))
-    return table
-
-
 __all__ = [
     "TrainConfig",
     "TrainTrace",
     "TraceRecord",
     "delta_step",
     "train",
-    "predicted_table",
 ]

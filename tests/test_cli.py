@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -193,3 +194,17 @@ def test_rotate_emits_plans_when_asked(capsys):
     assert plans["III"]["rotations"] == []  # base already realizes it
     some = next(p for c, p in plans.items() if c != "III" and p["converged"])
     assert {"i", "j", "theta"} <= set(some["rotations"][0])
+
+
+def test_rotate_single_exponent_class_file(tmp_path, capsys):
+    par = tmp_path / "one.par"
+    par.write_text(
+        "FEATURE number: sg pl\nMORPHEMES: a\n"
+        "CLASS A LEXEMES 3\nCELL sg -> a\nCELL pl -> a\nEND\n"
+    )
+    code, out, _ = run(capsys, "rotate", str(par), "--plans", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["classes"]
+    assert row["converged_runs"] == 1 and row["mean_iterations"] == 0.0
+    assert row["smallest_margin"] == math.inf
+

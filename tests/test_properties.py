@@ -3,12 +3,13 @@ import math
 import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geomorph as g
 from geomorph.composition import _sum_angle, wrap_angle
-from geomorph.exponence import ActivationMatrix
+from geomorph.exponence import ActivationMatrix, gold_margins
+from geomorph.rotations import _margins_ok
 
 # ---------------------------------------------------------------- helpers
 
@@ -154,6 +155,81 @@ def test_winner_invariant_under_positive_row_scaling(seed, scale):
     after, after_ties = g.select_winners(scaled)
     assert np.array_equal(after.matrix, base.matrix)
     assert after_ties == base_ties
+
+
+# ------------------------------------------------- decision kernel oracle
+
+
+def planted_matrix(rng, rows, cols):
+    """Random activations with repeated values and exact ties at row maxima."""
+    pool = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+    a = [
+        [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for row in a:
+        if cols > 1 and rng.random() < 0.4:
+            j, k = rng.sample(range(cols), 2)
+            row[j] = row[k] = max(row)
+    return np.array(a)
+
+
+def reference_decision(a):
+    """Per-row loop: the strict winner (None on a tie) and top minus runner-up."""
+    winners, margins = [], []
+    for row in a.tolist():
+        top = max(row)
+        js = [j for j, v in enumerate(row) if v == top]
+        winners.append(js[0] if len(js) == 1 else None)
+        ranked = sorted(row, reverse=True)
+        margins.append(ranked[0] - ranked[1] if len(row) > 1 else math.inf)
+    return winners, margins
+
+
+def reference_gold_check(a, gold_index, floor):
+    """Per-row loop: gold minus best rival; all must win and the worst reach floor."""
+    worst, ok = math.inf, True
+    for row, j in zip(a.tolist(), gold_index):
+        rivals = row[:j] + row[j + 1:]
+        margin = row[j] - max(rivals) if rivals else math.inf
+        worst = min(worst, margin)
+        ok = ok and margin > 0
+    return ok and worst >= floor, worst
+
+
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 6))
+@example(seed=0, rows=4, cols=1)
+@settings(max_examples=100, deadline=None)
+def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
+    rng = random.Random(seed)
+    a = planted_matrix(rng, rows, cols)
+    labels = tuple(f"c{i}" for i in range(rows))
+    morphemes = tuple(f"m{j}" for j in range(cols))
+    gold_index = [rng.randrange(cols) for _ in range(rows)]
+    gold = g.selection_from_winners(labels, morphemes, [morphemes[j] for j in gold_index])
+    acts = ActivationMatrix(labels, morphemes, a)
+    ref_winners, ref_margins = reference_decision(a)
+    ref_names = tuple(morphemes[j] if j is not None else None for j in ref_winners)
+    ref_ties = [i for i, w in enumerate(ref_winners) if w is None]
+
+    table, ties = g.select_winners(acts)
+    assert table.winners() == ref_names
+    assert ties == ref_ties
+
+    ev = g.evaluate(acts, gold)
+    assert ev.predicted == ref_names
+    assert ev.margins == tuple(ref_margins)
+    assert ev.ties == tuple(ref_ties)
+    assert ev.mismatches == tuple(
+        i for i, (w, j) in enumerate(zip(ref_winners, gold_index)) if w != j
+    )
+
+    is_gold = gold.matrix == 1.0
+    wins = (gold_margins(a, is_gold) > 0).tolist()
+    assert wins == [w == j for w, j in zip(ref_winners, gold_index)]
+    floor = rng.choice([-0.5, 0.0, 0.02, 0.5])
+    assert _margins_ok(a, is_gold, floor) == reference_gold_check(a, gold_index, floor)
 
 
 # ------------------------------------------------- (f) gradient direction

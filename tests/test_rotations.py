@@ -223,3 +223,10 @@ def test_deponent_transform_requires_distinct_axes(deponent):
     expo = initial_exponents(deponent.corner_matrix(), deponent.gold_table())
     with pytest.raises(BadAxis):
         deponent_transform(expo, 5, 5)
+
+
+def test_runs_limited_below_seed_stride():
+    # run seeds step by 1009 per class, so run 1009 would replay the next class's run 0
+    with pytest.raises(ValueError, match="1009"):
+        RotationLearnConfig(runs=1009)
+    assert RotationLearnConfig(runs=1008).runs == 1008
