@@ -22,7 +22,13 @@ from .composition import AngleLearnConfig, learn_angles, select_affix_by_angle, 
 from .errors import GeomorphError
 from .exponence import activations, evaluate, initial_exponents
 from .paradigm import ParadigmFile, parse
-from .rotations import RotationLearnConfig, base_configuration, class_of_base, learn_all_classes
+from .rotations import (
+    RotationLearnConfig,
+    base_configuration,
+    class_of_base,
+    learn_all_classes,
+    run_seed,
+)
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -239,6 +245,16 @@ def cmd_rotate(args) -> int:
         seed=seed,
     )
     stats, base_label = learn_all_classes(inv, cfg, args.min_lexemes)
+    if args.trace:
+        lines = "".join(
+            rpt.dumps_line(
+                {"class": s.class_label, "run": run, "seed": run_seed(cfg, ci, run),
+                 **record._asdict()}
+            )
+            for ci, s in enumerate(stats)
+            for run, record in enumerate(s.run_records)
+        )
+        Path(args.trace).write_text(lines, encoding="utf-8")
     rows = [
         {
             "class": s.class_label,
@@ -344,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-lexemes", type=int, default=3)
     sp.add_argument("--plans", action="store_true",
                     help="include one learned rotation plan per class")
+    sp.add_argument("--trace", default=None,
+                    help="also write one JSON line per (class, run) here")
     common(sp)
     sp.set_defaults(func=cmd_rotate)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +161,8 @@ class RotationLearnConfig:
     def __post_init__(self):
         if self.base_increment <= 0:
             raise ValueError("base_increment must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be at least 0")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.runs >= _RUN_SEED_STRIDE:
@@ -176,9 +179,135 @@ class RotationLearnResult:
     min_margin: float
 
 
-def _margins_ok(acts: np.ndarray, is_goal: np.ndarray, floor: float) -> tuple[bool, float]:
-    worst = float(gold_margins(acts, is_goal).min(initial=math.inf))
-    return worst > 0 and worst >= floor, worst
+def _margins_ok(acts: np.ndarray, is_goal: np.ndarray, floor: float):
+    """Worst gold margin of each stacked cells x exponents matrix, and whether it clears `floor`.
+
+    `acts` and `is_goal` have shape (..., cells, exponents); one matrix gives
+    a scalar pair, a (lanes, cells, exponents) stack one pair per lane.
+    """
+    m = acts.shape[-1]
+    margins = gold_margins(acts.reshape(-1, m), is_goal.reshape(-1, m))
+    worst = margins.reshape(acts.shape[:-1]).min(axis=-1, initial=math.inf)
+    return (worst > 0) & (worst >= floor), worst
+
+
+class RunRecord(NamedTuple):
+    """Outcome of one learner run; `rotations` is the length of its plan."""
+
+    converged: bool
+    iterations: int
+    min_margin: float
+    rotations: int
+
+
+def _learn_lanes(
+    base: np.ndarray,
+    phi: np.ndarray,
+    goals: np.ndarray,
+    rngs: list[random.Random],
+    cfg: RotationLearnConfig,
+) -> tuple[list[RunRecord], list]:
+    """Run the rotation search of `learn_class_rotation` for many lanes in lockstep.
+
+    A lane is one run towards one target: its own copy of `base`, its own
+    goal mask `goals[lane]` (cells x exponents) and its own random stream
+    `rngs[lane]`. Lanes share the corner matrix `phi` and the cell order, so
+    every live lane spends the same sub-iteration on the same cell, and the
+    (lanes, dim, exponents) stack is rotated with array operations. Per lane,
+    the arithmetic and the random draws are exactly those of a run on its
+    own; the gain, cos and sin stay scalar `math` calls for that reason.
+    Converged lanes leave the stacks, so a sub-iteration costs what the live
+    lanes need.
+
+    Returns one record per lane and the sub-iteration log `_plan` reads.
+    """
+    cells, (dim, morph) = phi.shape[0], base.shape
+    cell_coords = [np.flatnonzero(row).tolist() for row in phi]
+    records: list[RunRecord | None] = [None] * len(rngs)
+    live = np.arange(len(rngs))  # ids of the lanes still searching, ascending
+    b = np.repeat(base[None], live.size, axis=0)
+    is_goal, goal_index = goals, goals.argmax(axis=2)
+    log = []  # one _stretch per run of sub-iterations with unchanged live lanes
+    steps = None  # the current stretch, per sub-iteration: away, toward, angles, kept signs
+    done = 0  # sub-iterations every live lane has taken
+    ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
+    while True:
+        # drop the lanes that just converged; the first pass builds the stacks
+        if steps is None or ok.any():
+            if steps:
+                log.append(_stretch(live, steps, dim))
+            for lane, w in zip(live[ok].tolist(), worst[ok].tolist()):
+                records[lane] = RunRecord(True, -(-done // cells), w, done)
+            keep = ~ok
+            live, b, is_goal, goal_index, worst = (
+                live[keep], b[keep], is_goal[keep], goal_index[keep], worst[keep]
+            )
+            rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
+            steps = []
+            lanes = np.arange(live.size)
+            rows = b.reshape(-1, morph)  # lane l, axis d is row l * dim + d
+            first_row = lanes * dim
+            # where each lane's goal exponent sits in a flattened (lanes, morph) array, per cell
+            goal_at = lanes[:, None] * morph + goal_index
+        if not live.size or done == cfg.max_iters * cells:
+            break
+        i = done % cells
+        acts = phi[i] @ b
+        j_star = goal_index[:, i]
+        # masked argmaxes: equal values go to the lowest index, as plans expect
+        rival = np.where(is_goal[:, i], -np.inf, acts).argmax(axis=1)
+        thetas, toward, cos, sin = [], [], [], []
+        for row, r, j, rng in zip(acts.tolist(), rival.tolist(), j_star.tolist(), rngs):
+            theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
+            thetas.append(theta)
+            toward.append(rng.choice(cell_coords[i]))
+            cos.append(math.cos(theta))
+            sin.append(math.sin(theta))
+        toward_rows = first_row + toward
+        advantage = b[lanes, :, j_star] - b[lanes, :, rival]
+        advantage.put(toward_rows, -np.inf)
+        away = advantage.argmax(axis=1)
+        away_rows = first_row + away
+        x_away, x_toward = rows.take(away_rows, axis=0), rows.take(toward_rows, axis=0)
+        c, s = np.array(cos), np.array(sin)
+        # counter-clockwise in the (away, toward) plane unless clockwise raises the
+        # intended exponent's toward-coordinate more; rotating by -s is that branch, exactly
+        s_goal, c_goal = s * x_away.take(goal_at[:, i]), c * x_toward.take(goal_at[:, i])
+        keep_sign = s_goal + c_goal >= c_goal - s_goal
+        s = np.where(keep_sign, s, -s)[:, None]
+        c = c[:, None]
+        rows[away_rows] = c * x_away - s * x_toward
+        rows[toward_rows] = s * x_away + c * x_toward
+        steps.append((away, toward, thetas, keep_sign))
+        done += 1
+        ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
+    if steps:
+        log.append(_stretch(live, steps, dim))
+    for lane, w in zip(live.tolist(), worst.tolist()):
+        records[lane] = RunRecord(False, cfg.max_iters, w, done)
+    return records, log
+
+
+def _stretch(live: np.ndarray, steps: list, dim: int) -> tuple:
+    """Sub-iteration records of unchanged live lanes as (sub-iterations, lanes) arrays."""
+    away, toward, thetas, keep_sign = zip(*steps)
+    axis = np.min_scalar_type(dim)
+    thetas = np.array(thetas)
+    return (live, np.array(away, dtype=axis), np.array(toward, dtype=axis),
+            np.where(keep_sign, thetas, -thetas))
+
+
+def _plan(log: list, lane: int, record: RunRecord, label: str) -> RotationPlan:
+    """Rebuild one lane's rotation plan from the sub-iteration log."""
+    rotations = []
+    for live, away, toward, signed in log:
+        if len(rotations) == record.rotations:
+            break
+        k, n = live.searchsorted(lane), record.rotations - len(rotations)
+        rotations += map(
+            PlaneRotation, away[:n, k].tolist(), toward[:n, k].tolist(), signed[:n, k].tolist()
+        )
+    return RotationPlan(label, tuple(rotations))
 
 
 def learn_class_rotation(
@@ -203,57 +332,18 @@ def learn_class_rotation(
     exponent's lead grows, so a settled configuration is disturbed less and
     less. Convergence (checked after every sub-iteration) means the winners
     equal the target with the minimum margin at or above margin_floor.
+
+    This is the one-lane case of the lockstep search `learn_all_classes` runs.
     """
     target.require_one_hot()
     if rng is None:
         rng = random.Random(cfg.seed)
-    b = np.array(base.matrix)
-    phi = corners.matrix
-    is_goal = target.matrix == 1.0
-    plan: list[PlaneRotation] = []
-
-    def current_result(iterations, converged, worst):
-        return RotationLearnResult(
-            RotationPlan(class_label, tuple(plan)), iterations, converged, worst
-        )
-
-    ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
-    if ok:
-        return current_result(0, True, worst)
-
-    cell_coords = [list(np.flatnonzero(phi[i])) for i in range(phi.shape[0])]
-    goal_index = target.matrix.argmax(axis=1).tolist()
-    for it in range(1, cfg.max_iters + 1):
-        for i in range(phi.shape[0]):
-            acts = phi[i] @ b
-            j_star = goal_index[i]
-            # masked argmaxes: equal values go to the lowest index, as plans expect
-            rival = int(np.argmax(np.where(is_goal[i], -np.inf, acts)))
-            gain = sigmoid_gain(float(acts[rival]), float(acts[j_star]))
-            theta = cfg.base_increment * gain
-            toward = rng.choice(cell_coords[i])
-            advantage = b[:, j_star] - b[:, rival]
-            advantage[toward] = -np.inf
-            away = int(np.argmax(advantage))
-            c, s = math.cos(theta), math.sin(theta)
-            x_away, x_toward = b[away].copy(), b[toward].copy()
-            # counter-clockwise candidate in the (away, toward) plane
-            plus_toward = s * x_away[j_star] + c * x_toward[j_star]
-            minus_toward = -s * x_away[j_star] + c * x_toward[j_star]
-            if plus_toward >= minus_toward:
-                signed = theta
-                b[away] = c * x_away - s * x_toward
-                b[toward] = s * x_away + c * x_toward
-            else:
-                signed = -theta
-                b[away] = c * x_away + s * x_toward
-                b[toward] = -s * x_away + c * x_toward
-            plan.append(PlaneRotation(away, toward, signed))
-            ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
-            if ok:
-                return current_result(it, True, worst)
-    _, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
-    return current_result(cfg.max_iters, False, worst)
+    (record,), log = _learn_lanes(
+        base.matrix, corners.matrix, (target.matrix == 1.0)[None], [rng], cfg
+    )
+    return RotationLearnResult(
+        _plan(log, 0, record, class_label), record.iterations, record.converged, record.min_margin
+    )
 
 
 @dataclass
@@ -267,6 +357,12 @@ class ClassRunStats:
     mean_min_margin: float | None
     smallest_margin: float | None
     first_plan: RotationPlan | None = None  # plan of the first converged run
+    run_records: tuple[RunRecord, ...] = ()  # one per run, in run order
+
+
+def run_seed(cfg: RotationLearnConfig, class_index: int, run: int) -> int:
+    """Seed of run `run` for the `class_index`-th class; distinct while runs < 1009."""
+    return cfg.seed * 1_000_003 + class_index * _RUN_SEED_STRIDE + run
 
 
 def learn_all_classes(
@@ -274,27 +370,29 @@ def learn_all_classes(
     cfg: RotationLearnConfig,
     min_lexemes: int = 3,
 ) -> tuple[list[ClassRunStats], str | None]:
-    """Learn every class from the shared base; seeded per class and run."""
+    """Learn every class from the shared base; seeded per class and run.
+
+    Every (class, run) pair is one lane of a single lockstep search, and
+    each run's result is the one `learn_class_rotation` gives it alone.
+    """
     base = base_configuration(inv, min_lexemes)
     base_label = class_of_base(base, inv)
-    stats = []
     labels = inv.labels()
+    goals = np.stack([inv.classes[label].matrix == 1.0 for label in labels])
+    rngs = [random.Random(run_seed(cfg, ci, run))
+            for ci in range(len(labels)) for run in range(cfg.runs)]
+    records, log = _learn_lanes(
+        base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), rngs, cfg
+    )
+    stats = []
     for ci, label in enumerate(labels):
-        conv = 0
-        iters = []
-        margins = []
-        first_plan = None
-        for run in range(cfg.runs):
-            rng = random.Random(cfg.seed * 1_000_003 + ci * _RUN_SEED_STRIDE + run)
-            res = learn_class_rotation(
-                base, inv.corners, inv.classes[label], cfg, label, rng
-            )
-            if res.converged:
-                conv += 1
-                iters.append(res.iterations)
-                margins.append(res.min_margin)
-                if first_plan is None:
-                    first_plan = res.plan
+        runs = records[ci * cfg.runs : (ci + 1) * cfg.runs]
+        done = [run for run, r in enumerate(runs) if r.converged]
+        iters = [runs[run].iterations for run in done]
+        margins = [runs[run].min_margin for run in done]
+        first_plan = (
+            _plan(log, ci * cfg.runs + done[0], runs[done[0]], label) if done else None
+        )
         distance = (
             inv.distance_between(label, base_label) if base_label is not None else -1
         )
@@ -304,11 +402,12 @@ def learn_all_classes(
                 inv.lexeme_counts[label],
                 distance,
                 cfg.runs,
-                conv,
+                len(done),
                 float(np.mean(iters)) if iters else None,
                 float(np.mean(margins)) if margins else None,
                 float(np.min(margins)) if margins else None,
                 first_plan,
+                tuple(runs),
             )
         )
     return stats, base_label

@@ -208,3 +208,35 @@ def test_rotate_single_exponent_class_file(tmp_path, capsys):
     assert row["converged_runs"] == 1 and row["mean_iterations"] == 0.0
     assert row["smallest_margin"] == math.inf
 
+
+
+def test_rotate_rejects_negative_max_iters(capsys):
+    code, out, err = run(capsys, "rotate", "nuer_classes", "--max-iters", "-3")
+    assert code == 1 and out == ""
+    assert "max_iters" in err
+
+
+def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):
+    argv = ["rotate", "nuer_classes", "--runs", "2", "--max-iters", "1", "--seed", "3",
+            "--format", "json"]
+    trace = tmp_path / "rotate.jsonl"
+    code, plain_out, _ = run(capsys, *argv)
+    traced_code, traced_out, _ = run(capsys, *argv, "--trace", str(trace))
+    assert code == traced_code == 2
+    assert traced_out == plain_out
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(records) == 32
+    assert set(records[0]) == {
+        "class", "run", "seed", "converged", "iterations", "min_margin", "rotations"
+    }
+    assert [(r["class"], r["run"]) for r in records[:4]] == [("I", 0), ("I", 1), ("II", 0), ("II", 1)]
+    assert records[1]["seed"] == 3 * 1_000_003 + 1
+    failed = [r for r in records if not r["converged"]]
+    assert failed and all(r["iterations"] == 1 and r["rotations"] == 6 for r in failed)
+    assert all(isinstance(r["min_margin"], float) for r in failed)
+    assert any(r["min_margin"] <= 0 for r in failed)
+    # the report keeps its means over converged runs only
+    classes = {c["class"]: c for c in json.loads(plain_out)["classes"]}
+    for label, c in classes.items():
+        mine = [r for r in records if r["class"] == label]
+        assert c["converged_runs"] == sum(r["converged"] for r in mine)

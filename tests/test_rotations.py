@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -230,3 +231,22 @@ def test_runs_limited_below_seed_stride():
     with pytest.raises(ValueError, match="1009"):
         RotationLearnConfig(runs=1009)
     assert RotationLearnConfig(runs=1008).runs == 1008
+
+
+def test_max_iters_must_not_be_negative():
+    with pytest.raises(ValueError, match="max_iters"):
+        RotationLearnConfig(max_iters=-3)
+    # zero asks only which classes the base realizes as it is
+    assert RotationLearnConfig(max_iters=0).max_iters == 0
+
+
+def test_learned_plan_serializes(nuer):
+    inv = nuer.class_inventory()
+    base = base_configuration(inv, 3)
+    res = learn_class_rotation(
+        base, inv.corners, inv.classes["II"], RotationLearnConfig(seed=4), "II"
+    )
+    assert res.plan.rotations
+    for rot in res.plan.rotations:
+        assert type(rot.axis_i) is int and type(rot.axis_j) is int
+    assert json.loads(json.dumps(res.plan.as_dicts())) == res.plan.as_dicts()
