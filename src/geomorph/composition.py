@@ -152,6 +152,8 @@ class AngleLearnConfig:
             raise ValueError("stepsize must be positive")
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be at least 0")
 
 
 @dataclass

@@ -216,6 +216,30 @@ def test_rotate_rejects_negative_max_iters(capsys):
     assert "max_iters" in err
 
 
+def test_compose_rejects_negative_max_iters(capsys):
+    code, out, err = run(capsys, "compose", "german_plurals", "--max-iters", "-3")
+    assert code == 1 and out == ""
+    assert "max_iters" in err
+
+
+FLAT_FIXTURES = ["english_weak_verb", "german_present", "german_full",
+                 "latin_adjectives", "russian_class_one", "latin_deponent"]
+JSON_COMMANDS = (
+    [(command, name) for name in FLAT_FIXTURES for command in ("select", "train", "init")]
+    + [("init", "nuer_classes"), ("rotate", "nuer_classes", "--plans", "--runs", "3"),
+       ("compose", "german_plurals"), ("compose", "spanish_verbs")]
+)
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_reports_are_indented_json_dumps(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    # float repr round-trips exactly, so re-dumping the parsed report
+    # reproduces what json.dumps wrote for the original values
+    expected = json.dumps(json.loads(out), sort_keys=True, indent=2, ensure_ascii=False)
+    assert out == expected + "\n"
+
+
 def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):
     argv = ["rotate", "nuer_classes", "--runs", "2", "--max-iters", "1", "--seed", "3",
             "--format", "json"]

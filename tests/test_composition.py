@@ -177,6 +177,13 @@ def test_learn_config_validation():
         AngleLearnConfig(margin=-0.1)
 
 
+def test_learn_config_max_iters_must_not_be_negative():
+    with pytest.raises(ValueError, match="max_iters"):
+        AngleLearnConfig(max_iters=-3)
+    # zero runs no pass: the authored or seeded start is reported as it is
+    assert AngleLearnConfig(max_iters=0).max_iters == 0
+
+
 def test_learn_angles_requires_complete_gold(german_plurals):
     gold = dict(german_plurals.gold_forms())
     del gold[("Auto", "pl")]

@@ -1,0 +1,117 @@
+"""The report layer: the indented JSON writer and the numpy-to-plain conversion."""
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomorph import report as rpt
+
+
+def oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# JSON's structural characters, escapes, non-ASCII and astral code points
+awkward = st.sampled_from(list('{}[],:"\\\n\t ') + ["é", " ", "\x00", "𝄞"])
+strings = st.text(alphabet=st.one_of(awkward, st.characters()), max_size=8)
+ints = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64, 2**200))
+floats = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+)
+scalars = st.one_of(strings, ints, floats, st.booleans(), st.none())
+
+
+def any_dict(values):
+    # one key type per dict: mixed key types cannot be sorted by either writer
+    return st.one_of(
+        *(st.dictionaries(keys, values, max_size=5) for keys in (strings, ints, floats))
+    )
+
+
+flat_tables = st.one_of(
+    st.lists(any_dict(scalars), max_size=4),  # rows may be {}
+    st.lists(st.one_of(st.lists(scalars, max_size=4), st.tuples(scalars, scalars)),
+             max_size=4),
+)
+values = st.recursive(
+    st.one_of(scalars, flat_tables),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        any_dict(children),
+    ),
+    max_leaves=30,
+)
+
+
+@given(values)
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_indented_json_dumps(value):
+    assert rpt.dumps(value) == oracle(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": [1, np.int64(2)]},
+        [{"rows": [{"i": 0}]}, object()],
+        {"a": {(1, 2): "tuple keys are not JSON"}},
+    ],
+    ids=["numpy-int", "object", "tuple-key"],
+)
+def test_dumps_raises_type_error_where_json_does(value):
+    with pytest.raises(TypeError):
+        oracle(value)
+    with pytest.raises(TypeError):
+        rpt.dumps(value)
+
+
+def test_dumps_rejects_circular_reference():
+    loop = [1]
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        oracle(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        rpt.dumps(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        rpt.dumps({"rows": [{"a": 1}], "loop": loop})
+
+
+def test_dumps_handles_subclasses_like_json():
+    class Tagged(dict):
+        pass
+
+    value = {"rows": [Tagged(b=1, a=np.float64(0.5)), (True, None)], "n": np.float64(2.0)}
+    assert rpt.dumps(value) == oracle(value)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (np.array(1.5), 1.5),
+        (np.bool_(False), False),
+        (np.float32(0.1), float(np.float32(0.1))),
+        (np.int64(7), 7),
+        (np.array([[1, 2], [3, 4]]), [[1, 2], [3, 4]]),
+        ((1, (np.int8(2), np.float64(0.25))), [1, [2, 0.25]]),
+        ({1: np.array([True]), "k": {2: None}}, {"1": [True], "k": {"2": None}}),
+    ],
+    ids=["0d-array", "bool", "float32", "int64", "matrix", "nested-tuple", "int-keys"],
+)
+def test_plain_converts_numpy_values(value, expected):
+    got = rpt.plain(value)
+    assert got == expected
+    assert built_in(got)
+    assert rpt.dumps({"v": got}) == oracle({"v": expected})
+
+
+def built_in(value) -> bool:
+    """Exact built-in JSON types all the way down, string keys only."""
+    if type(value) is dict:
+        return all(type(k) is str and built_in(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(built_in, value))
+    return type(value) in (str, int, float, bool, type(None))
