@@ -148,10 +148,10 @@ class AngleLearnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stepsize <= 0:
-            raise ValueError("stepsize must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
+        if not (math.isfinite(self.stepsize) and self.stepsize > 0):
+            raise ValueError("stepsize must be finite and positive")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError("margin must be finite and non-negative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be at least 0")
 

@@ -158,6 +158,16 @@ def gold_margins(acts: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return acts[gold] - np.where(gold, -np.inf, acts).max(axis=-1)
 
 
+def gold_wins(acts: list[float], gold: int) -> bool:
+    """Whether exponent `gold` wins one row of activations given as a list.
+
+    The scalar form of `gold_margins(row, mask) > 0` for a single row: the
+    same margin expression, and true without rivals.
+    """
+    rivals = acts[:gold] + acts[gold + 1:]
+    return not rivals or acts[gold] - max(rivals) > 0
+
+
 def decide(acts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The model's one decision over a cells x exponents activation matrix.
 

@@ -56,12 +56,18 @@ class ParadigmFile:
     def feature_system(self) -> FeatureSystem:
         return build_feature_system(self.features)
 
+    def sections(self) -> tuple[str, ...]:
+        """The kinds of section the file declares; a parsed file declares one."""
+        declared = (
+            ("single", self.cells),
+            ("classes", self.classes),
+            ("composition", self.forms or self.stems or self.affixes),
+        )
+        return tuple(kind for kind, present in declared if present)
+
     def kind(self) -> str:
-        if self.classes:
-            return "classes"
-        if self.forms or self.stems or self.affixes:
-            return "composition"
-        return "single"
+        (kind,) = self.sections()
+        return kind
 
     def _cells(self, rows, fs: FeatureSystem):
         return tuple(ParadigmCell.of(fs, values) for values, _ in rows)
@@ -222,8 +228,7 @@ class _Parser:
             getattr(self, name)(n, head, rest)
         if self.in_class is not None:
             self.fail(len(self.lines) + 1, 1, "END to close the open CLASS block")
-        self.validate_sections()
-        return ParadigmFile(
+        pf = ParadigmFile(
             features=tuple(self.features),
             morphemes=self.morphemes,
             cells=tuple(self.cells),
@@ -235,14 +240,12 @@ class _Parser:
             affixes=tuple(self.affixes),
             forms=tuple(self.forms),
         )
-
-    def validate_sections(self):
-        groups = [bool(self.cells), bool(self.classes), bool(self.forms or self.stems or self.affixes)]
-        if sum(groups) != 1:
+        if len(pf.sections()) != 1:
             self.fail(len(self.lines) + 1, 1,
                       "exactly one of: a cell table, class blocks, or a composition section")
-        if (self.cells or self.classes) and self.morphemes is None:
+        if pf.kind() != "composition" and pf.morphemes is None:
             self.fail(len(self.lines) + 1, 1, "a MORPHEMES line before any CELL")
+        return pf
 
     # ---- one handler per directive ----
 

@@ -159,8 +159,10 @@ class RotationLearnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_increment <= 0:
-            raise ValueError("base_increment must be positive")
+        if not (math.isfinite(self.base_increment) and self.base_increment > 0):
+            raise ValueError("base_increment must be finite and positive")
+        if not math.isfinite(self.margin_floor):
+            raise ValueError("margin_floor must be finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be at least 0")
         if self.runs < 1:

@@ -9,6 +9,7 @@ with the gold choice are visited.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from .exponence import (
     SelectionTable,
     activations,
     evaluate,
-    gold_margins,
+    gold_wins,
 )
 from .features import CornerMatrix
 
@@ -29,11 +30,10 @@ class TrainConfig:
     eta: float = 0.1
     error_driven: bool = True
     max_iters: int = 100
-    tolerance: float = 0.0  # margin is reported against this, never enforced
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("eta must be finite and non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -77,23 +77,28 @@ def delta_step(
     """
     gold.require_one_hot()
     b = np.array(expo.matrix)
-    is_gold = gold.matrix == 1.0
-    updated: set[int] = set()
-    for i in range(corners.num_cells):
+    if cfg.eta == 0.0:
+        return ExponentMatrix(expo.morphemes, b), ()
+    moved = [False] * b.shape[1]
+    for i, g in enumerate(gold.matrix.argmax(axis=1).tolist()):
         corner = corners.matrix[i]
         acts = corner @ b
-        if cfg.error_driven and gold_margins(acts, is_gold[i])[0] > 0:
+        a = acts.tolist()
+        if cfg.error_driven and gold_wins(a, g):
             continue
-        if cfg.eta == 0.0:
-            continue
-        b += cfg.eta * np.outer(corner, gold.matrix[i] - acts)
-        norms = np.linalg.norm(b, axis=0)
-        if (norms < 1e-12).any():
+        # exactly the arithmetic of np.outer(corner, d) and of
+        # np.linalg.norm(b, axis=0) on real input, minus their call overhead;
+        # any other form of it (a gemm, a row sum) changes the last bit
+        b += cfg.eta * (corner[:, None] * (gold.matrix[i] - acts))
+        norms = np.sqrt(np.add.reduce(b * b, axis=0))
+        if norms.min() < 1e-12:
             raise ZeroColumn("update drove an exponent column to zero")
         b /= norms
-        updated.update(np.flatnonzero(gold.matrix[i] - acts != 0.0))
-    moved = tuple(expo.morphemes[j] for j in sorted(updated))
-    return ExponentMatrix(expo.morphemes, b), moved
+        for j, x in enumerate(a):  # column j moves unless target - x == 0
+            if x != (1.0 if j == g else 0.0):
+                moved[j] = True
+    names = tuple(m for m, hit in zip(expo.morphemes, moved) if hit)
+    return ExponentMatrix(expo.morphemes, b), names
 
 
 def train(

@@ -222,6 +222,30 @@ def test_compose_rejects_negative_max_iters(capsys):
     assert "max_iters" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_non_finite_eta(capsys, value):
+    code, out, err = run(capsys, "train", "latin_adjectives", "--eta", value)
+    assert code == 1 and out == ""
+    assert "eta" in err
+
+
+@pytest.mark.parametrize("option,name", [("--increment", "base_increment"),
+                                         ("--margin-floor", "margin_floor")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rotate_rejects_non_finite_parameters(capsys, option, name, value):
+    code, out, err = run(capsys, "rotate", "nuer_classes", f"{option}={value}")
+    assert code == 1 and out == ""
+    assert name in err
+
+
+@pytest.mark.parametrize("option,name", [("--stepsize", "stepsize"), ("--margin", "margin")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_compose_rejects_non_finite_parameters(capsys, option, name, value):
+    code, out, err = run(capsys, "compose", "german_plurals", option, value)
+    assert code == 1 and out == ""
+    assert name in err
+
+
 FLAT_FIXTURES = ["english_weak_verb", "german_present", "german_full",
                  "latin_adjectives", "russian_class_one", "latin_deponent"]
 JSON_COMMANDS = (

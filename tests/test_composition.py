@@ -175,6 +175,11 @@ def test_learn_config_validation():
         AngleLearnConfig(stepsize=0)
     with pytest.raises(ValueError):
         AngleLearnConfig(margin=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="stepsize"):
+            AngleLearnConfig(stepsize=bad)
+        with pytest.raises(ValueError, match="margin"):
+            AngleLearnConfig(margin=bad)
 
 
 def test_learn_config_max_iters_must_not_be_negative():

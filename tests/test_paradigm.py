@@ -104,6 +104,12 @@ def test_mixed_sections_rejected():
         parse_text(MINI + "STEM x\n")
 
 
+def test_file_without_a_section_rejected():
+    with pytest.raises(ParadigmSyntaxError, match="exactly one of") as err:
+        parse_text("FEATURE number: sg pl\nMORPHEMES: 0 s\n")
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
 def test_form_requires_declared_stem():
     text = "FEATURE number: sg pl\nPLANE pl sg\nAFFIX 0\nFORM who sg -> 0\n"
     with pytest.raises(UndeclaredName):

@@ -233,6 +233,14 @@ def test_runs_limited_below_seed_stride():
     assert RotationLearnConfig(runs=1008).runs == 1008
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_learner_parameters_must_be_finite(bad):
+    with pytest.raises(ValueError, match="base_increment"):
+        RotationLearnConfig(base_increment=bad)
+    with pytest.raises(ValueError, match="margin_floor"):
+        RotationLearnConfig(margin_floor=bad)
+
+
 def test_max_iters_must_not_be_negative():
     with pytest.raises(ValueError, match="max_iters"):
         RotationLearnConfig(max_iters=-3)

@@ -112,8 +112,9 @@ def test_trace_records_mismatch_counts(latin):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(eta=-0.1)
+    for eta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            TrainConfig(eta=eta)
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
 
