@@ -288,3 +288,84 @@ def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):
     for label, c in classes.items():
         mine = [r for r in records if r["class"] == label]
         assert c["converged_runs"] == sum(r["converged"] for r in mine)
+
+
+# ---- the parser is built once per process: its text and its state ----
+
+HELP = """\
+usage: geomorph [-h] {init,select,train,compose,rotate,report} ...
+
+Geometric inflectional morphology: selection, training, composition, rotation
+
+positional arguments:
+  {init,select,train,compose,rotate,report}
+    init                count-based exponent initialization
+    select              activations, winners, and gold comparison
+    train               delta-rule training to the gold table
+    compose             stem+affix selection or angle learning
+    rotate              derive inflection classes by rotation
+    report              re-render a saved JSON report as TSV
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+SELECT_USAGE = "usage: geomorph select [-h] [--format {tsv,json}] [--out OUT] paradigm\n"
+
+SELECT_HELP = SELECT_USAGE + """
+positional arguments:
+  paradigm
+
+options:
+  -h, --help           show this help message and exit
+  --format {tsv,json}
+  --out OUT            write the report here instead of stdout
+"""
+
+MISSING_PARADIGM = (
+    SELECT_USAGE + "geomorph select: error: the following arguments are required: paradigm\n"
+)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, HELP, ""),
+    (["select", "--help"], 0, SELECT_HELP, ""),
+    (["select"], 2, "", MISSING_PARADIGM),
+    (["--help"], 0, HELP, ""),  # a second time, from the same process
+])
+def test_help_and_usage_text(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_seed_flag_does_not_carry_over(capsys, monkeypatch):
+    monkeypatch.delenv("GEOMORPH_SEED", raising=False)
+    code, _, _ = run(capsys, "rotate", "nuer_classes", "--runs", "1", "--seed", "3",
+                     "--max-iters", "5", "--format", "json")
+    assert code in (0, 2)
+    code, out, _ = run(capsys, "compose", "german_plurals", "--format", "json")
+    assert json.loads(out)["config"]["seed"] == 0
+    monkeypatch.setenv("GEOMORPH_SEED", "5")
+    code, out, _ = run(capsys, "compose", "german_plurals", "--format", "json")
+    assert json.loads(out)["config"]["seed"] == 5
+
+
+def test_each_call_parses_into_a_fresh_namespace(capsys, monkeypatch):
+    from geomorph import cli
+
+    seen = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda args, report: (seen.append(args), emit(args, report)))
+    run(capsys, "rotate", "nuer_classes", "--runs", "1", "--seed", "3", "--max-iters", "5",
+        "--plans", "--format", "json")
+    run(capsys, "select", "english_weak_verb")
+    run(capsys, "rotate", "nuer_classes", "--runs", "1", "--max-iters", "5")
+    first, second, third = seen
+    assert len({id(first), id(second), id(third)}) == 3
+    assert vars(second) == {"command": "select", "paradigm": "english_weak_verb",
+                            "format": "tsv", "out": None, "func": cli.cmd_select}
+    assert (first.seed, first.plans, first.format) == (3, True, "json")
+    assert (third.seed, third.plans, third.format) == (None, False, "tsv")
