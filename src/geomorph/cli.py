@@ -12,6 +12,7 @@ Exit codes: 0 success (and convergence where that applies), 1 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -72,42 +73,40 @@ def _single_pipeline(pf: ParadigmFile):
             "this command needs a flat cell table (try rotate for class files, "
             "compose for stem/affix files)"
         )
-    fs = pf.feature_system()
-    corners = pf.corner_matrix(fs)
-    gold = pf.gold_table(fs)
-    return corners, gold
+    corners = pf.corner_matrix()
+    return corners, pf.gold_table(corners=corners)
 
 
 def cmd_init(args) -> int:
     pf = load_paradigm(args.paradigm)
-    if pf.kind() == "classes":
+    kind = pf.kind()
+    if kind == "classes":
         inv = pf.class_inventory()
+        corners = inv.corners
         expo = base_configuration(inv, args.min_lexemes)
         extra = {"base_class": class_of_base(expo, inv)}
-    elif pf.kind() == "single":
+    elif kind == "single":
         corners, gold = _single_pipeline(pf)
         expo = initial_exponents(corners, gold)
         extra = {}
     else:
         raise GeomorphError("init needs a cell table or class blocks")
-    fs = pf.feature_system()
     report = rpt.build_report(
         "init",
         {"paradigm": args.paradigm, "min_lexemes": args.min_lexemes},
-        exponents=rpt.labeled_matrix(fs.value_names, expo.morphemes, expo.matrix),
+        exponents=rpt.labeled_matrix(corners.fs.value_names, expo.morphemes, expo.matrix),
         **extra,
     )
     emit(args, report)
     return EXIT_OK
 
 
-def _evaluated(pf: ParadigmFile, corners, gold, expo):
+def _evaluated(corners, gold, expo):
     """Evaluate `expo` against gold; also the report sections select and train share."""
     acts = activations(corners, expo)
     ev = evaluate(acts, gold)
-    fs = pf.feature_system()
     sections = {
-        "exponents": rpt.labeled_matrix(fs.value_names, expo.morphemes, expo.matrix),
+        "exponents": rpt.labeled_matrix(corners.fs.value_names, expo.morphemes, expo.matrix),
         "activations": rpt.labeled_matrix(
             [c.label() for c in acts.row_labels], acts.morphemes, acts.matrix
         ),
@@ -120,7 +119,7 @@ def cmd_select(args) -> int:
     pf = load_paradigm(args.paradigm)
     corners, gold = _single_pipeline(pf)
     expo = initial_exponents(corners, gold)
-    ev, sections = _evaluated(pf, corners, gold, expo)
+    ev, sections = _evaluated(corners, gold, expo)
     report = rpt.build_report(
         "select",
         {"paradigm": args.paradigm},
@@ -150,7 +149,7 @@ def cmd_train(args) -> int:
             rpt.dumps_line(record) for record in trace.as_dicts()
         )
         Path(args.trace).write_text(lines, encoding="utf-8")
-    ev, sections = _evaluated(pf, corners, gold, trained)
+    ev, sections = _evaluated(corners, gold, trained)
     report = rpt.build_report(
         "train",
         {
@@ -309,7 +308,9 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; callers must not modify it."""
     p = argparse.ArgumentParser(
         prog="geomorph",
         description="Geometric inflectional morphology: selection, training, composition, rotation",

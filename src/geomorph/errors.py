@@ -29,6 +29,10 @@ class ZeroColumn(GeomorphError):
     """An exponent column is (or would become) the zero vector."""
 
 
+class UpdateOverflow(GeomorphError):
+    """A learning update overflowed floating point (its step size is too large)."""
+
+
 class EmptyInventory(GeomorphError):
     """A stem or affix inventory is empty."""
 

@@ -109,21 +109,36 @@ class ParadigmCell:
         return self.label()
 
 
+def _coordinates(cell: ParadigmCell, fs: FeatureSystem, names: list[str]) -> list[int]:
+    """The coordinates of the cell's values; `names` lists the system's features.
+
+    Every value must be known and every feature assigned.
+    """
+    index = fs.value_index
+    coords = []
+    for _, v in cell.assignment:
+        if v not in index:
+            raise UnknownValue(f"cell value {v!r} unknown to the feature system")
+        coords.append(index[v])
+    assigned = [fname for fname, _ in cell.assignment]
+    if assigned != names:
+        missing = set(names).difference(assigned)
+        if missing:
+            raise UnknownValue(f"cell does not assign feature(s) {sorted(missing)}")
+    return coords
+
+
+def _feature_names(fs: FeatureSystem) -> list[str]:
+    return [name for name, _ in fs.features]
+
+
 def corner_vector(cell: ParadigmCell, fs: FeatureSystem) -> np.ndarray:
     """0/1 vector with a 1 at each of the cell's value coordinates.
 
     L2 norm is sqrt(number of features) by construction.
     """
     vec = np.zeros(fs.num_values)
-    seen = set()
-    for fname, v in cell.assignment:
-        if v not in fs.value_index:
-            raise UnknownValue(f"cell value {v!r} unknown to the feature system")
-        seen.add(fname)
-        vec[fs.value_index[v]] = 1.0
-    missing = {name for name, _ in fs.features} - seen
-    if missing:
-        raise UnknownValue(f"cell does not assign feature(s) {sorted(missing)}")
+    vec[_coordinates(cell, fs, _feature_names(fs))] = 1.0
     return vec
 
 
@@ -145,9 +160,15 @@ def build_corner_matrix(fs: FeatureSystem, cells) -> CornerMatrix:
     cells = tuple(cells)
     if not cells:
         raise ShapeMismatch("need at least one cell")
-    if len(set(cells)) != len(cells):
+    if len({c.assignment for c in cells}) != len(cells):
         raise DuplicateCell("duplicate paradigm cell")
-    mat = np.array([corner_vector(c, fs) for c in cells])
+    names = _feature_names(fs)
+    width = fs.num_values
+    flat = []  # row-major positions of the ones
+    for r, cell in enumerate(cells):
+        flat += [r * width + k for k in _coordinates(cell, fs, names)]
+    mat = np.zeros((len(cells), width))
+    mat.put(flat, 1.0)
     return CornerMatrix(fs, cells, _frozen(mat))
 
 

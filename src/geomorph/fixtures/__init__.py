@@ -16,12 +16,13 @@ FIXTURES = (
     "spanish_verbs",
     "latin_deponent",
 )
+_FILES = resources.files(__package__)  # the files are read anew on every call
 
 
 def fixture_text(name: str) -> str:
     if name not in FIXTURES:
         raise KeyError(f"no bundled fixture named {name!r}")
-    return (resources.files(__package__) / f"{name}.par").read_text(encoding="utf-8")
+    return (_FILES / f"{name}.par").read_text(encoding="utf-8")
 
 
 def load(name: str) -> ParadigmFile:

@@ -69,9 +69,6 @@ class ParadigmFile:
         (kind,) = self.sections()
         return kind
 
-    def _cells(self, rows, fs: FeatureSystem):
-        return tuple(ParadigmCell.of(fs, values) for values, _ in rows)
-
     def corner_matrix(self, fs: FeatureSystem | None = None) -> CornerMatrix:
         fs = fs or self.feature_system()
         if self.cells:
@@ -80,27 +77,29 @@ class ParadigmFile:
             rows = self.classes[0][2]
         else:
             raise UndeclaredName("file declares no paradigm cells")
-        return build_corner_matrix(fs, self._cells(rows, fs))
+        return build_corner_matrix(fs, [ParadigmCell.of(fs, values) for values, _ in rows])
 
-    def gold_table(self, fs: FeatureSystem | None = None) -> SelectionTable:
-        fs = fs or self.feature_system()
-        corners = self.corner_matrix(fs)
+    def gold_table(
+        self, fs: FeatureSystem | None = None, corners: CornerMatrix | None = None
+    ) -> SelectionTable:
+        """The gold winners; `corners`, when given, is this file's corner matrix."""
+        if corners is None:
+            corners = self.corner_matrix(fs)
         winners = [m for _, m in self.cells]
         return selection_from_winners(corners.row_labels, self.morphemes, winners)
 
     def class_inventory(self, fs: FeatureSystem | None = None) -> ClassInventory:
-        fs = fs or self.feature_system()
-        corners = self.corner_matrix(fs)
+        corners = self.corner_matrix(fs)  # built from the first class's cells
+        first = [values for values, _ in self.classes[0][2]] if self.classes else []
         tables = {}
         lexemes = {}
         for label, count, rows in self.classes:
-            cells = self._cells(rows, fs)
-            if cells != corners.row_labels:
+            if [values for values, _ in rows] != first:
                 raise UndeclaredName(
                     f"class {label} must list the same cells in the same order"
                 )
             tables[label] = selection_from_winners(
-                cells, self.morphemes, [m for _, m in rows]
+                corners.row_labels, self.morphemes, [m for _, m in rows]
             )
             lexemes[label] = count
         return ClassInventory(corners, tuple(self.morphemes), tables, lexemes)
@@ -179,10 +178,18 @@ class _Parser:
         self.affixes: list = []
         self.forms: list = []
         self.in_class: tuple[str, int, list] | None = None
+        # keys already listed: top-level cells, the open CLASS block's cells, forms
+        self.cell_keys: set = set()
+        self.class_keys: set = set()
+        self.form_keys: set = set()
 
-    # tokens come with 1-based column positions
-    def tokens(self, line: str):
-        return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    def column(self, n, k):
+        """1-based column of token k after the directive on line n; k = -1 is the directive.
+
+        Handlers get plain tokens; positions are worked out only for an error.
+        """
+        line = self.lines[n - 1].split("#", 1)[0]
+        return [m.start() + 1 for m in _TOKEN.finditer(line)][k + 1]
 
     def fail(self, lineno, col, expected):
         raise ParadigmSyntaxError(lineno, col, expected)
@@ -213,19 +220,18 @@ class _Parser:
     }
 
     def parse(self) -> ParadigmFile:
+        handlers = {head: getattr(self, name) for head, name in self.DIRECTIVES.items()}
         for n, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0]
-            toks = self.tokens(line)
+            toks = raw.split("#", 1)[0].split()
             if not toks:
                 continue
-            head, col = toks[0]
-            rest = toks[1:]
-            name = self.DIRECTIVES.get(head)
-            if name is None:
-                self.fail(n, col, "a directive (FEATURE, MORPHEMES:, CELL, CLASS, END, PLANE, STEM, AFFIX, FORM)")
+            head = toks[0]
+            handler = handlers.get(head)
+            if handler is None:
+                self.fail(n, self.column(n, -1), "a directive (FEATURE, MORPHEMES:, CELL, CLASS, END, PLANE, STEM, AFFIX, FORM)")
             if self.in_class and head not in ("CELL", "END"):
-                self.fail(n, col, "only CELL or END inside a CLASS block")
-            getattr(self, name)(n, head, rest)
+                self.fail(n, self.column(n, -1), "only CELL or END inside a CLASS block")
+            handler(n, head, toks[1:])
         if self.in_class is not None:
             self.fail(len(self.lines) + 1, 1, "END to close the open CLASS block")
         pf = ParadigmFile(
@@ -243,23 +249,21 @@ class _Parser:
         if len(pf.sections()) != 1:
             self.fail(len(self.lines) + 1, 1,
                       "exactly one of: a cell table, class blocks, or a composition section")
-        if pf.kind() != "composition" and pf.morphemes is None:
-            self.fail(len(self.lines) + 1, 1, "a MORPHEMES line before any CELL")
         return pf
 
-    # ---- one handler per directive ----
+    # ---- one handler per directive; `rest` holds the tokens after it ----
 
     def line_feature(self, n, head, rest):
         if len(rest) < 3:
             self.fail(n, len(self.lines[n - 1]) + 1, "FEATURE <name>: <v1> <v2> ...")
-        name, col = rest[0]
+        name = rest[0]
         if not name.endswith(":"):
-            self.fail(n, col, "feature name followed by ':'")
+            self.fail(n, self.column(n, 0), "feature name followed by ':'")
         name = name[:-1]
         if not name:
-            self.fail(n, col, "non-empty feature name")
+            self.fail(n, self.column(n, 0), "non-empty feature name")
         values = []
-        for v, vcol in rest[1:]:
+        for v in rest[1:]:
             if v in values or v in self.all_values() or v == name or v in self.feature_names():
                 raise DuplicateDeclaration(v, n)
             values.append(v)
@@ -273,7 +277,7 @@ class _Parser:
         if not rest:
             self.fail(n, len(self.lines[n - 1]) + 1, "at least one morpheme")
         seen = []
-        for m, col in rest:
+        for m in rest:
             if m in seen:
                 raise DuplicateDeclaration(m, n)
             seen.append(m)
@@ -282,55 +286,52 @@ class _Parser:
     def _parse_cell(self, n, rest):
         if self.morphemes is None:
             self.fail(n, 1, "a MORPHEMES line before any CELL")
-        arrow = [k for k, (t, _) in enumerate(rest) if t == "->"]
-        if len(arrow) != 1:
+        if rest.count("->") != 1:
             self.fail(n, 1, "CELL <values> -> <morpheme>")
-        k = arrow[0]
-        values = rest[:k]
-        tail = rest[k + 1:]
-        if len(tail) != 1:
-            self.fail(n, rest[k][1], "exactly one morpheme after '->'")
+        k = rest.index("->")
+        if len(rest) != k + 2:
+            self.fail(n, self.column(n, k), "exactly one morpheme after '->'")
+        values = tuple(rest[:k])
         if len(values) != len(self.features):
-            self.fail(n, rest[0][1] if rest else 1,
+            self.fail(n, self.column(n, 0),
                       f"{len(self.features)} cell value(s), one per feature")
-        vals = []
-        for (v, col), (fname, fvalues) in zip(values, self.features):
+        for v, (_, fvalues) in zip(values, self.features):
             if v not in fvalues:
                 raise UndeclaredName(v, n)
-            vals.append(v)
-        m, mcol = tail[0]
+        m = rest[k + 1]
         if m not in self.morphemes:
             raise UndeclaredName(m, n)
-        return tuple(vals), m
+        return values, m
 
     def line_cell(self, n, head, rest):
         row = self._parse_cell(n, rest)
         bucket = self.in_class[2] if self.in_class else self.cells
-        if any(r[0] == row[0] for r in bucket):
+        keys = self.class_keys if self.in_class else self.cell_keys
+        if row[0] in keys:
             raise DuplicateDeclaration(",".join(row[0]), n)
+        keys.add(row[0])
         bucket.append(row)
 
     def line_class(self, n, head, rest):
-        if self.in_class:
-            self.fail(n, 1, "END before a new CLASS block")
-        if len(rest) != 3 or rest[1][0] != "LEXEMES":
+        if len(rest) != 3 or rest[1] != "LEXEMES":
             self.fail(n, 1, "CLASS <label> LEXEMES <count>")
-        label = rest[0][0]
+        label = rest[0]
         if any(c[0] == label for c in self.classes):
             raise DuplicateDeclaration(label, n)
         try:
-            count = int(rest[2][0])
+            count = int(rest[2])
         except ValueError:
-            self.fail(n, rest[2][1], "an integer lexeme count")
+            self.fail(n, self.column(n, 2), "an integer lexeme count")
         if count < 1:
-            self.fail(n, rest[2][1], "a positive lexeme count")
+            self.fail(n, self.column(n, 2), "a positive lexeme count")
         self.in_class = (label, count, [])
+        self.class_keys = set()
 
     def line_end(self, n, head, rest):
         if not self.in_class:
             self.fail(n, 1, "END only closes a CLASS block")
         if rest:
-            self.fail(n, rest[0][1], "nothing after END")
+            self.fail(n, self.column(n, 0), "nothing after END")
         label, count, rows = self.in_class
         if not rows:
             self.fail(n, 1, "at least one CELL line in the CLASS block")
@@ -342,25 +343,25 @@ class _Parser:
             raise DuplicateDeclaration("PLANE", n)
         if len(rest) != 2:
             self.fail(n, 1, "PLANE <x-value> <y-value>")
-        for v, col in rest:
+        for v in rest:
             if v not in self.all_values():
                 raise UndeclaredName(v, n)
-        if rest[0][0] == rest[1][0]:
-            raise DuplicateDeclaration(rest[0][0], n)
-        self.plane = (rest[0][0], rest[1][0])
+        if rest[0] == rest[1]:
+            raise DuplicateDeclaration(rest[0], n)
+        self.plane = (rest[0], rest[1])
 
     def _parse_positioned(self, n, rest, what):
         if not rest:
             self.fail(n, 1, f"{what} <label> [@ <angle-rad>]")
-        label = rest[0][0]
+        label = rest[0]
         angle = None
         if len(rest) > 1:
-            if rest[1][0] != "@" or len(rest) != 3:
-                self.fail(n, rest[1][1], "@ <angle-rad> or end of line")
+            if rest[1] != "@" or len(rest) != 3:
+                self.fail(n, self.column(n, 1), "@ <angle-rad> or end of line")
             try:
-                angle = float(rest[2][0])
+                angle = float(rest[2])
             except ValueError:
-                self.fail(n, rest[2][1], "a real-number angle in radians")
+                self.fail(n, self.column(n, 2), "a real-number angle in radians")
         return label, angle
 
     def line_stem(self, n, head, rest):
@@ -376,24 +377,24 @@ class _Parser:
         self.affixes.append((label, angle))
 
     def line_form(self, n, head, rest):
-        arrow = [k for k, (t, _) in enumerate(rest) if t == "->"]
-        if len(arrow) != 1 or arrow[0] < 2 or len(rest) != arrow[0] + 2:
+        k = rest.index("->") if rest.count("->") == 1 else 0
+        if k < 2 or len(rest) != k + 2:
             self.fail(n, 1, "FORM <stem> <cell-values> -> <affix>")
-        k = arrow[0]
-        stem, scol = rest[0]
+        stem = rest[0]
         if stem not in {s for s, _ in self.stems}:
             raise UndeclaredName(stem, n)
         values = []
-        for v, col in rest[1:k]:
+        for v in rest[1:k]:
             if v not in self.all_values():
                 raise UndeclaredName(v, n)
             values.append(v)
-        affix, acol = rest[k + 1]
+        affix = rest[k + 1]
         if affix not in {a for a, _ in self.affixes}:
             raise UndeclaredName(affix, n)
         key = (stem, tuple(values))
-        if any((s, tuple(v)) == key for s, v, _ in self.forms):
+        if key in self.form_keys:
             raise DuplicateDeclaration(f"FORM {stem} {' '.join(values)}", n)
+        self.form_keys.add(key)
         self.forms.append((stem, tuple(values), affix))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroColumn
+from .errors import UpdateOverflow, ZeroColumn
 from .exponence import (
     ExponentMatrix,
     SelectionTable,
@@ -73,30 +73,37 @@ def delta_step(
     """One pass over all cells; returns the updated matrix and moved columns.
 
     Raises ZeroColumn if an update annihilates a column (renormalization
-    would be undefined).
+    would be undefined), and UpdateOverflow if an update or its norm
+    overflows, which only a huge eta (about 1e154 and up) can cause.
     """
     gold.require_one_hot()
     b = np.array(expo.matrix)
     if cfg.eta == 0.0:
         return ExponentMatrix(expo.morphemes, b), ()
     moved = [False] * b.shape[1]
-    for i, g in enumerate(gold.matrix.argmax(axis=1).tolist()):
-        corner = corners.matrix[i]
-        acts = corner @ b
-        a = acts.tolist()
-        if cfg.error_driven and gold_wins(a, g):
-            continue
-        # exactly the arithmetic of np.outer(corner, d) and of
-        # np.linalg.norm(b, axis=0) on real input, minus their call overhead;
-        # any other form of it (a gemm, a row sum) changes the last bit
-        b += cfg.eta * (corner[:, None] * (gold.matrix[i] - acts))
-        norms = np.sqrt(np.add.reduce(b * b, axis=0))
-        if norms.min() < 1e-12:
-            raise ZeroColumn("update drove an exponent column to zero")
-        b /= norms
-        for j, x in enumerate(a):  # column j moves unless target - x == 0
-            if x != (1.0 if j == g else 0.0):
-                moved[j] = True
+    try:
+        with np.errstate(over="raise"):
+            for i, g in enumerate(gold.matrix.argmax(axis=1).tolist()):
+                corner = corners.matrix[i]
+                acts = corner @ b
+                a = acts.tolist()
+                if cfg.error_driven and gold_wins(a, g):
+                    continue
+                # exactly the arithmetic of np.outer(corner, d) and of
+                # np.linalg.norm(b, axis=0) on real input, minus their call overhead;
+                # any other form of it (a gemm, a row sum) changes the last bit
+                b += cfg.eta * (corner[:, None] * (gold.matrix[i] - acts))
+                norms = np.sqrt(np.add.reduce(b * b, axis=0))
+                if norms.min() < 1e-12:
+                    raise ZeroColumn("update drove an exponent column to zero")
+                b /= norms
+                for j, x in enumerate(a):  # column j moves unless target - x == 0
+                    if x != (1.0 if j == g else 0.0):
+                        moved[j] = True
+    except FloatingPointError:
+        raise UpdateOverflow(
+            f"eta {cfg.eta!r} overflows the delta-rule update; use a smaller eta"
+        ) from None
     names = tuple(m for m, hit in zip(expo.morphemes, moved) if hit)
     return ExponentMatrix(expo.morphemes, b), names
 

@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
+from collections import Counter
 
 import pytest
 
+from geomorph import cli, paradigm
 from geomorph import report as rpt
 from geomorph.cli import main
+from geomorph.paradigm import ParadigmFile
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval
 
@@ -229,6 +233,17 @@ def test_train_rejects_non_finite_eta(capsys, value):
     assert "eta" in err
 
 
+@pytest.mark.parametrize("value", ["1e200", "1e308"])
+def test_train_reports_an_overflowing_eta(capsys, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "train", "latin_adjectives", "--eta", value)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: eta {float(value)!r} overflows the delta-rule update; use a smaller eta\n"
+    )
+
+
 @pytest.mark.parametrize("option,name", [("--increment", "base_increment"),
                                          ("--margin-floor", "margin_floor")])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -354,8 +369,6 @@ def test_seed_flag_does_not_carry_over(capsys, monkeypatch):
 
 
 def test_each_call_parses_into_a_fresh_namespace(capsys, monkeypatch):
-    from geomorph import cli
-
     seen = []
     emit = cli.emit
     monkeypatch.setattr(cli, "emit", lambda args, report: (seen.append(args), emit(args, report)))
@@ -369,3 +382,29 @@ def test_each_call_parses_into_a_fresh_namespace(capsys, monkeypatch):
                             "format": "tsv", "out": None, "func": cli.cmd_select}
     assert (first.seed, first.plans, first.format) == (3, True, "json")
     assert (third.seed, third.plans, third.format) == (None, False, "tsv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "latin_adjectives"],
+    ["train", "latin_adjectives"],
+    ["init", "latin_adjectives"],
+    ["init", "nuer_classes"],
+])
+def test_an_op_parses_once_and_builds_one_corner_matrix(argv, capsys, monkeypatch):
+    # the benchmark's per-layer spans hook these same names
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(cli, "load_paradigm")
+    counting(ParadigmFile, "corner_matrix")
+    counting(paradigm, "build_corner_matrix")
+    run(capsys, *argv)
+    assert calls == {"load_paradigm": 1, "corner_matrix": 1, "build_corner_matrix": 1}
