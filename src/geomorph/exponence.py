@@ -214,7 +214,7 @@ class EvaluationReport:
         return min(self.margins)
 
     def mismatch_labels(self) -> tuple[str, ...]:
-        return tuple(self.row_labels[i].label() for i in self.mismatches)
+        return tuple([self.row_labels[i].label() for i in self.mismatches])
 
 
 def evaluate(acts: ActivationMatrix, gold: SelectionTable) -> EvaluationReport:
@@ -227,8 +227,8 @@ def evaluate(acts: ActivationMatrix, gold: SelectionTable) -> EvaluationReport:
     return EvaluationReport(
         acts.row_labels,
         acts.morphemes,
-        tuple(acts.morphemes[j] if j >= 0 else None for j in winners.tolist()),
-        tuple(acts.morphemes[j] for j in gold_idx.tolist()),
+        tuple([acts.morphemes[j] if j >= 0 else None for j in winners.tolist()]),
+        tuple([acts.morphemes[j] for j in gold_idx.tolist()]),
         tuple(margins.tolist()),
         tuple(np.flatnonzero(winners != gold_idx).tolist()),
         tuple(np.flatnonzero(winners < 0).tolist()),

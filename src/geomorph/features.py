@@ -49,7 +49,7 @@ class FeatureSystem:
 
     @property
     def value_names(self) -> tuple[str, ...]:
-        return tuple(v for _, values in self.features for v in values)
+        return tuple([v for _, values in self.features for v in values])
 
     def blocks(self):
         """Yield (feature-name, slice of its coordinate block)."""
@@ -73,7 +73,7 @@ def build_feature_system(declarations) -> FeatureSystem:
     for name, values in declarations:
         if not name or any(not v for v in values):
             raise EmptyFeature(f"feature {name!r} has an empty token")
-        feats.append((str(name), tuple(str(v) for v in values)))
+        feats.append((str(name), tuple([str(v) for v in values])))
     return FeatureSystem(tuple(feats))
 
 
@@ -100,7 +100,10 @@ class ParadigmCell:
 
     @property
     def values(self) -> tuple[str, ...]:
-        return tuple(v for _, v in self.assignment)
+        # tuple(<list>), not tuple(<generator>): CPython builds the latter by
+        # resizing, and resized small tuples pile up on its free lists (about
+        # 1 MB in a long-lived process); the same holds throughout the package
+        return tuple([v for _, v in self.assignment])
 
     def label(self) -> str:
         return ",".join(self.values)

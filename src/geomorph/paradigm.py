@@ -63,7 +63,7 @@ class ParadigmFile:
             ("classes", self.classes),
             ("composition", self.forms or self.stems or self.affixes),
         )
-        return tuple(kind for kind, present in declared if present)
+        return tuple([kind for kind, present in declared if present])
 
     def kind(self) -> str:
         (kind,) = self.sections()
@@ -105,10 +105,10 @@ class ParadigmFile:
         return ClassInventory(corners, tuple(self.morphemes), tables, lexemes)
 
     def stem_labels(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.stems)
+        return tuple([s for s, _ in self.stems])
 
     def affix_labels(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.affixes)
+        return tuple([a for a, _ in self.affixes])
 
     def angle_model(self) -> AngleModel | None:
         """Angle model from authored positions; None when any angle is missing."""
@@ -238,9 +238,9 @@ class _Parser:
             features=tuple(self.features),
             morphemes=self.morphemes,
             cells=tuple(self.cells),
-            classes=tuple(
+            classes=tuple([
                 (label, count, tuple(rows)) for label, count, rows in self.classes
-            ),
+            ]),
             plane=self.plane,
             stems=tuple(self.stems),
             affixes=tuple(self.affixes),

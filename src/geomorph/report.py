@@ -22,6 +22,7 @@ leaves, empty rows) takes the recursive path, which raises the same
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain
@@ -122,53 +123,58 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+@functools.cache
+def _encoder(level: int) -> json.JSONEncoder:
+    """C encoder whose members sit at `level`; it keeps no state between calls."""
+    return json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                            separators=("," + _newline(level), ": "))
+
+
+def _write(value, level: int, markers: set) -> str:
+    """`value` written at indent `level`.
+
+    `markers` holds the ids of the containers being written, as json checks
+    cycles. A module function, not a closure in `dumps`: a recursive closure
+    is a reference cycle that only the cycle collector frees.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _scalar(value)
+    if _flat(value):
+        text = _encoder(level + 1).encode(value)
+        return text[0] + _newline(level + 1) + text[1:-1] + _newline(level) + text[-1]
+    if _table(value):
+        outer, inner = _newline(level + 1), _newline(level + 2)
+        text = _encoder(level + 2).encode(value)
+        opening, closing = text[1], text[-2]
+        rows = text[2:-2].replace(
+            closing + "," + inner + opening,
+            outer + closing + "," + outer + opening + inner,
+        )
+        return "[" + outer + opening + inner + rows + outer + closing + _newline(level) + "]"
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    if id(value) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(value))
+    if isinstance(value, dict):
+        brackets = "{}"
+        members = [
+            _key(k) + ": " + (_scalar(v) if type(v) in _SCALARS else _write(v, level + 1, markers))
+            for k, v in sorted(value.items())
+        ]
+    else:
+        brackets = "[]"
+        members = [
+            _scalar(v) if type(v) in _SCALARS else _write(v, level + 1, markers) for v in value
+        ]
+    markers.discard(id(value))
+    inner = _newline(level + 1)
+    return brackets[0] + inner + ("," + inner).join(members) + _newline(level) + brackets[1]
+
+
 def dumps(report) -> str:
     """`json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)` + newline."""
-    encoders = []  # encoders[level]: C encoder whose members sit at `level`
-    markers = set()  # ids of the containers being written, as json checks cycles
-
-    def encode(value, level: int) -> str:
-        while len(encoders) <= level:
-            separators = ("," + _newline(len(encoders)), ": ")
-            encoders.append(
-                json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=separators)
-            )
-        return encoders[level].encode(value)
-
-    def write(value, level: int) -> str:
-        if not isinstance(value, _CONTAINERS):
-            return _scalar(value)
-        if _flat(value):
-            text = encode(value, level + 1)
-            return text[0] + _newline(level + 1) + text[1:-1] + _newline(level) + text[-1]
-        if _table(value):
-            outer, inner = _newline(level + 1), _newline(level + 2)
-            text = encode(value, level + 2)
-            opening, closing = text[1], text[-2]
-            rows = text[2:-2].replace(
-                closing + "," + inner + opening,
-                outer + closing + "," + outer + opening + inner,
-            )
-            return "[" + outer + opening + inner + rows + outer + closing + _newline(level) + "]"
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        if id(value) in markers:
-            raise ValueError("Circular reference detected")
-        markers.add(id(value))
-        if isinstance(value, dict):
-            brackets = "{}"
-            members = [
-                _key(k) + ": " + (_scalar(v) if type(v) in _SCALARS else write(v, level + 1))
-                for k, v in sorted(value.items())
-            ]
-        else:
-            brackets = "[]"
-            members = [_scalar(v) if type(v) in _SCALARS else write(v, level + 1) for v in value]
-        markers.discard(id(value))
-        inner = _newline(level + 1)
-        return brackets[0] + inner + ("," + inner).join(members) + _newline(level) + brackets[1]
-
-    return write(report, 0) + "\n"
+    return _write(report, 0, set()) + "\n"
 
 
 def dumps_line(record: dict) -> str:

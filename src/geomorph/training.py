@@ -104,7 +104,7 @@ def delta_step(
         raise UpdateOverflow(
             f"eta {cfg.eta!r} overflows the delta-rule update; use a smaller eta"
         ) from None
-    names = tuple(m for m, hit in zip(expo.morphemes, moved) if hit)
+    names = tuple([m for m, hit in zip(expo.morphemes, moved) if hit])
     return ExponentMatrix(expo.morphemes, b), names
 
 

@@ -1,4 +1,5 @@
 """The report layer: the indented JSON writer and the numpy-to-plain conversion."""
+import gc
 import json
 import math
 
@@ -78,6 +79,13 @@ def test_dumps_rejects_circular_reference():
         rpt.dumps(loop)
     with pytest.raises(ValueError, match="Circular"):
         rpt.dumps({"rows": [{"a": 1}], "loop": loop})
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    report = {"schema": 1, "rows": [{"a": 1.5}, {"a": 2.5}], "nested": {"m": [[1, 2], [3]]}}
+    gc.collect()
+    rpt.dumps(report)
+    assert gc.collect() == 0
 
 
 def test_dumps_handles_subclasses_like_json():
