@@ -131,17 +131,13 @@ def _coordinates(cell: ParadigmCell, fs: FeatureSystem, names: list[str]) -> lis
     return coords
 
 
-def _feature_names(fs: FeatureSystem) -> list[str]:
-    return [name for name, _ in fs.features]
-
-
 def corner_vector(cell: ParadigmCell, fs: FeatureSystem) -> np.ndarray:
     """0/1 vector with a 1 at each of the cell's value coordinates.
 
     L2 norm is sqrt(number of features) by construction.
     """
     vec = np.zeros(fs.num_values)
-    vec[_coordinates(cell, fs, _feature_names(fs))] = 1.0
+    vec[_coordinates(cell, fs, [name for name, _ in fs.features])] = 1.0
     return vec
 
 
@@ -165,7 +161,7 @@ def build_corner_matrix(fs: FeatureSystem, cells) -> CornerMatrix:
         raise ShapeMismatch("need at least one cell")
     if len({c.assignment for c in cells}) != len(cells):
         raise DuplicateCell("duplicate paradigm cell")
-    names = _feature_names(fs)
+    names = [name for name, _ in fs.features]
     width = fs.num_values
     flat = []  # row-major positions of the ones
     for r, cell in enumerate(cells):

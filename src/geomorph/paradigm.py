@@ -89,12 +89,12 @@ class ParadigmFile:
         return selection_from_winners(corners.row_labels, self.morphemes, winners)
 
     def class_inventory(self, fs: FeatureSystem | None = None) -> ClassInventory:
-        corners = self.corner_matrix(fs)  # built from the first class's cells
-        first = [values for values, _ in self.classes[0][2]] if self.classes else []
+        corners = self.corner_matrix(fs)
+        cell_values = [cell.values for cell in corners.row_labels]
         tables = {}
         lexemes = {}
         for label, count, rows in self.classes:
-            if [values for values, _ in rows] != first:
+            if [tuple(values) for values, _ in rows] != cell_values:
                 raise UndeclaredName(
                     f"class {label} must list the same cells in the same order"
                 )

@@ -10,9 +10,16 @@ from geomorph import (
     build_corner_matrix,
     build_feature_system,
     corner_vector,
+    fixtures,
     validate_feature_blocks,
 )
-from geomorph.errors import DuplicateCell, DuplicateValue, EmptyFeature, UnknownValue
+from geomorph.errors import (
+    DuplicateCell,
+    DuplicateValue,
+    EmptyFeature,
+    ShapeMismatch,
+    UnknownValue,
+)
 
 ENGLISH = [
     ("tense", ["past", "present"]),
@@ -131,3 +138,33 @@ def test_corner_vector_injective():
     cells = all_cells(fs)
     vecs = {tuple(corner_vector(c, fs)) for c in cells}
     assert len(vecs) == len(cells)
+
+
+@pytest.mark.parametrize("name", ["english_weak_verb", "latin_adjectives", "nuer_classes"])
+def test_corner_matrix_stacks_the_corner_vectors(name):
+    pf = fixtures.load(name)
+    fs = pf.feature_system()
+    for cells in (all_cells(fs), pf.corner_matrix(fs).row_labels):
+        corners = build_corner_matrix(fs, cells)
+        want = np.array([corner_vector(c, fs) for c in cells])
+        assert corners.matrix.tobytes() == want.tobytes()
+        assert corners.matrix.dtype == want.dtype and not corners.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("cells, kind, message", [
+    ([], ShapeMismatch, "need at least one cell"),
+    ([[("tense", "past"), ("person", "1"), ("number", "du")]],
+     UnknownValue, "cell value 'du' unknown to the feature system"),
+    ([[("tense", "past"), ("number", "sg")]],
+     UnknownValue, "cell does not assign feature(s) ['person']"),
+    ([[("tense", "past"), ("person", "1"), ("number", "sg")],
+      [("tense", "past")]],
+     UnknownValue, "cell does not assign feature(s) ['number', 'person']"),
+    ([[("tense", "past"), ("person", "1"), ("number", "sg")]] * 2,
+     DuplicateCell, "duplicate paradigm cell"),
+])
+def test_corner_matrix_rejects_bad_cells(cells, kind, message):
+    fs = build_feature_system(ENGLISH)
+    with pytest.raises(kind) as err:
+        build_corner_matrix(fs, [ParadigmCell(tuple(c)) for c in cells])
+    assert type(err.value) is kind and str(err.value) == message
