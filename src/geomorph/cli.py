@@ -47,12 +47,16 @@ def load_paradigm(name: str) -> ParadigmFile:
     raise GeomorphError(f"no such file or bundled fixture: {name}")
 
 
-def emit(args, report: dict):
-    text = rpt.dumps(report) if args.format == "json" else rpt.to_tsv(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+def write(path, text: str):
+    """Write `text` to the file at `path`, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def emit(args, report: dict):
+    write(args.out, rpt.dumps(report) if args.format == "json" else rpt.to_tsv(report))
 
 
 def seed_from(args) -> int:
@@ -144,11 +148,9 @@ def cmd_train(args) -> int:
         eta=args.eta, error_driven=args.error_driven, max_iters=args.max_iters
     )
     trained, trace = train(expo, corners, gold, cfg)
+    records = trace.as_dicts()
     if args.trace:
-        lines = "".join(
-            rpt.dumps_line(record) for record in trace.as_dicts()
-        )
-        Path(args.trace).write_text(lines, encoding="utf-8")
+        write(args.trace, "".join(map(rpt.dumps_line, records)))
     ev, sections = _evaluated(corners, gold, trained)
     report = rpt.build_report(
         "train",
@@ -163,7 +165,7 @@ def cmd_train(args) -> int:
         min_margin=ev.min_margin,
         converged=trace.converged,
         iterations=trace.iterations,
-        trace=trace.as_dicts(),
+        trace=records,
     )
     emit(args, report)
     if ev.ties:
@@ -245,15 +247,13 @@ def cmd_rotate(args) -> int:
     )
     stats, base_label = learn_all_classes(inv, cfg, args.min_lexemes)
     if args.trace:
-        lines = "".join(
-            rpt.dumps_line(
-                {"class": s.class_label, "run": run, "seed": run_seed(cfg, ci, run),
-                 **record._asdict()}
-            )
+        records = (
+            {"class": s.class_label, "run": run, "seed": run_seed(cfg, ci, run),
+             **record._asdict()}
             for ci, s in enumerate(stats)
             for run, record in enumerate(s.run_records)
         )
-        Path(args.trace).write_text(lines, encoding="utf-8")
+        write(args.trace, "".join(map(rpt.dumps_line, records)))
     rows = [
         {
             "class": s.class_label,
@@ -298,13 +298,8 @@ def cmd_rotate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = Path(args.saved).read_text(encoding="utf-8")
-    saved = rpt.loads(text)
-    out = rpt.to_tsv(saved)
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    saved = rpt.loads(Path(args.saved).read_text(encoding="utf-8"))
+    write(args.out, rpt.to_tsv(saved))
     return EXIT_OK
 
 

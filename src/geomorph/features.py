@@ -58,12 +58,6 @@ class FeatureSystem:
             yield name, slice(k, k + len(values))
             k += len(values)
 
-    def feature_of(self, value: str) -> str:
-        for name, values in self.features:
-            if value in values:
-                return name
-        raise UnknownValue(f"no feature declares value {value!r}")
-
 
 def build_feature_system(declarations) -> FeatureSystem:
     """Build a FeatureSystem from (name, values) pairs, in declaration order."""

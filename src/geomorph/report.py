@@ -1,8 +1,10 @@
 """Machine-readable run reports: JSON (full precision) and TSV (6 decimals).
 
-Reports are plain dicts with a schema version so saved JSON can be
-re-rendered later. All numerics are converted to built-in Python types and
-serialization sorts keys, so identical runs give byte-identical files.
+Reports are dicts with a schema version so saved JSON can be re-rendered
+later. Callers build every section from built-in JSON values (`labeled_matrix`
+converts its matrix with `tolist()`); a numpy value raises `TypeError` as it
+does in `json.dumps`. Serialization sorts keys, so identical runs give
+byte-identical files.
 
 `dumps` writes exactly `json.dumps(report, sort_keys=True, indent=2,
 ensure_ascii=False)` plus a newline, but keeps the work in the C encoder,
@@ -27,8 +29,6 @@ import json
 import math
 from itertools import chain
 
-import numpy as np
-
 SCHEMA_VERSION = 1
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -36,31 +36,16 @@ _CONTAINERS = (dict, list, tuple)
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-def plain(value):
-    """Recursively convert numpy scalars/arrays so json can take them."""
-    if type(value) in _SCALARS:
-        return value
-    if isinstance(value, dict):
-        return {str(k): plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return plain(value.tolist())
-    return value
-
-
 def labeled_matrix(row_labels, col_labels, entries) -> dict:
     return {
         "row_labels": [str(r) for r in row_labels],
         "col_labels": [str(c) for c in col_labels],
-        "entries": plain(np.asarray(entries)),
+        "entries": entries.tolist(),
     }
 
 
-def matrix_tsv(mat: dict, corner: str = "") -> str:
-    lines = ["\t".join([corner] + list(mat["col_labels"]))]
+def matrix_tsv(mat: dict) -> str:
+    lines = ["\t".join(["", *mat["col_labels"]])]
     for label, row in zip(mat["row_labels"], mat["entries"]):
         cells = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
         lines.append("\t".join([label] + cells))
@@ -68,10 +53,7 @@ def matrix_tsv(mat: dict, corner: str = "") -> str:
 
 
 def build_report(command: str, config: dict, **sections) -> dict:
-    report = {"schema": SCHEMA_VERSION, "command": command, "config": plain(config)}
-    for key, value in sections.items():
-        report[key] = plain(value)
-    return report
+    return {"schema": SCHEMA_VERSION, "command": command, "config": config, **sections}
 
 
 def _flat(value) -> bool:
@@ -179,26 +161,28 @@ def dumps(report) -> str:
 
 def dumps_line(record: dict) -> str:
     """One compact JSON object per line, for trace streams."""
-    return json.dumps(plain(record), sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def loads(text: str) -> dict:
     report = json.loads(text)
+    if type(report) is not dict:
+        raise ValueError("a saved report must be a JSON object")
     if report.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema: {report.get('schema')!r}")
     return report
 
 
-def _kv_lines(report: dict, skip) -> list[str]:
+def _kv_lines(report: dict) -> list[str]:
     lines = []
     for key in sorted(report):
-        if key in skip:
+        if key == "schema":
             continue
         value = report[key]
         if isinstance(value, dict) and set(value) == {"row_labels", "col_labels", "entries"}:
             lines.append(f"# {key}")
             lines.append(matrix_tsv(value).rstrip("\n"))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, list) and value and all(isinstance(item, dict) for item in value):
             cols = sorted({k for item in value for k in item})
             lines.append(f"# {key}")
             lines.append("\t".join(cols))
@@ -233,4 +217,4 @@ def _fmt(v) -> str:
 
 def to_tsv(report: dict) -> str:
     """Render a whole report as sectioned TSV."""
-    return "\n".join(_kv_lines(report, skip=("schema",))) + "\n"
+    return "\n".join(_kv_lines(report)) + "\n"

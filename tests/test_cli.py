@@ -11,6 +11,7 @@ from geomorph import cli, paradigm
 from geomorph import report as rpt
 from geomorph.cli import main
 from geomorph.paradigm import ParadigmFile
+from test_report import built_in
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval
 
@@ -116,6 +117,14 @@ def test_corrupt_saved_report_is_clean_exit_one(tmp_path, capsys):
     bad.write_text('{"schema": 99}')
     code, _, err = run(capsys, "report", str(bad))
     assert code == 1 and "schema" in err
+    for text in ("[1]", '"s"', "null"):
+        bad.write_text(text)
+        code, out, err = run(capsys, "report", str(bad))
+        assert (code, out, err) == (1, "", "error: a saved report must be a JSON object\n")
+    # a list is a table only when every item is a dict, else one JSON value
+    bad.write_text('{"schema": 1, "x": [{"a": 1}, 2], "y": [{"b": 0.5}]}')
+    code, out, _ = run(capsys, "report", str(bad))
+    assert (code, out) == (0, 'x\t[{"a": 1}, 2]\n# y\nb\n0.500000\n')
 
 
 def test_bad_env_seed_is_clean_exit_one(capsys, monkeypatch):
@@ -273,12 +282,25 @@ JSON_COMMANDS = (
 
 
 @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
-def test_json_reports_are_indented_json_dumps(capsys, argv):
-    _, out, _ = run(capsys, *argv, "--format", "json")
+def test_json_reports_are_indented_json_dumps(capsys, argv, tmp_path, monkeypatch):
+    # every report and trace record is built-in all the way down: json.dumps
+    # would also take numpy's float64, a float subclass, without complaint
+    reports, records = [], []
+    emit, dumps_line = cli.emit, rpt.dumps_line
+    monkeypatch.setattr(cli, "emit",
+                        lambda args, report: emit(args, reports.append(report) or report))
+    monkeypatch.setattr(rpt, "dumps_line",
+                        lambda record: dumps_line(records.append(record) or record))
+    trace = tmp_path / "trace.jsonl"
+    traced = ["--trace", str(trace)] if argv[0] in ("train", "rotate") else []
+    _, out, _ = run(capsys, *argv, *traced, "--format", "json")
     # float repr round-trips exactly, so re-dumping the parsed report
     # reproduces what json.dumps wrote for the original values
     expected = json.dumps(json.loads(out), sort_keys=True, indent=2, ensure_ascii=False)
     assert out == expected + "\n"
+    assert len(reports) == 1 and built_in(reports[0])
+    assert len(records) == (len(trace.read_text().splitlines()) if traced else 0)
+    assert all(map(built_in, records))
 
 
 def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):

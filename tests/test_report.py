@@ -1,4 +1,4 @@
-"""The report layer: the indented JSON writer and the numpy-to-plain conversion."""
+"""The report layer: the indented JSON writer."""
 import gc
 import json
 import math
@@ -94,26 +94,6 @@ def test_dumps_handles_subclasses_like_json():
 
     value = {"rows": [Tagged(b=1, a=np.float64(0.5)), (True, None)], "n": np.float64(2.0)}
     assert rpt.dumps(value) == oracle(value)
-
-
-@pytest.mark.parametrize(
-    "value, expected",
-    [
-        (np.array(1.5), 1.5),
-        (np.bool_(False), False),
-        (np.float32(0.1), float(np.float32(0.1))),
-        (np.int64(7), 7),
-        (np.array([[1, 2], [3, 4]]), [[1, 2], [3, 4]]),
-        ((1, (np.int8(2), np.float64(0.25))), [1, [2, 0.25]]),
-        ({1: np.array([True]), "k": {2: None}}, {"1": [True], "k": {"2": None}}),
-    ],
-    ids=["0d-array", "bool", "float32", "int64", "matrix", "nested-tuple", "int-keys"],
-)
-def test_plain_converts_numpy_values(value, expected):
-    got = rpt.plain(value)
-    assert got == expected
-    assert built_in(got)
-    assert rpt.dumps({"v": got}) == oracle({"v": expected})
 
 
 def built_in(value) -> bool:

@@ -1,0 +1,103 @@
+"""Run a fixed sweep of geomorph CLI calls in-process and write every output.
+
+    python tools/cli_sweep.py SRC_DIR OUT_DIR
+
+SRC_DIR is the directory that holds the `geomorph` package (a checkout's
+`src`); OUT_DIR must not exist yet, so no output of an earlier sweep is left
+in it. Op n writes `n.argv` (its arguments, one a line), `n.code` (the exit
+code), `n.out` and `n.err` (stdout and stderr) and, when it was given
+`--trace`, `n.trace` if the op wrote one. Ops run with OUT_DIR as the working
+directory and name their files relative to it, so the outputs of two checkouts
+compare with `diff -r OUT_A OUT_B`. The sweep ends with `report` on every
+non-empty JSON output of the ops before it.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+FLAT = ("english_weak_verb", "german_present", "german_full",
+        "latin_adjectives", "russian_class_one", "latin_deponent")
+TRAIN_VARIANTS = (("--no-error-driven",), ("--eta", "0.37", "--max-iters", "3"),
+                  ("--eta", "1e200"))
+ROTATE_VARIANTS = (
+    ("--plans", "--format", "json"),
+    ("--format", "tsv"),
+    ("--max-iters", "0", "--plans", "--format", "json"),
+    ("--margin-floor", "0.3", "--runs", "3", "--seed", "2", "--plans", "--format", "json"),
+    ("--runs", "2", "--seed", "7", "--format", "tsv"),
+)
+WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
+              ("train", "nuer_classes"), ("init", "german_plurals"),
+              ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"))
+
+
+def ops() -> list[tuple[list[str], bool]]:
+    """Every op but the `report` re-renders, as (argv, gets --trace)."""
+    sweep = []
+    for name in FLAT:
+        for fmt in ("json", "tsv"):
+            sweep.append((["select", name, "--format", fmt], False))
+            sweep.append((["init", name, "--format", fmt], False))
+            sweep.append((["train", name, "--format", fmt], True))
+        for variant in TRAIN_VARIANTS:
+            sweep.append((["train", name, *variant, "--format", "json"], True))
+    for fmt in ("json", "tsv"):
+        sweep.append((["init", "nuer_classes", "--format", fmt], False))
+    for variant in ROTATE_VARIANTS:
+        sweep.append((["rotate", "nuer_classes", *variant], True))
+    for argv in (["german_plurals", "--format", "json"], ["german_plurals", "--format", "tsv"],
+                 ["german_plurals", "--seed", "3", "--format", "json"],
+                 ["spanish_verbs", "--format", "json"], ["spanish_verbs", "--format", "tsv"]):
+        sweep.append((["compose", *argv], False))
+    sweep.extend((list(argv), False) for argv in WRONG_KIND)
+    sweep.append((["rotate", "nuer_classes", "--runs", "100", "--seed", "0", "--plans",
+                   "--format", "json"], False))
+    return sweep
+
+
+def run(main, n: int, argv: list[str]) -> str:
+    """Run op `n`, write its outputs, return its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    files = {"argv": "\n".join(argv) + "\n", "code": f"{code}\n",
+             "out": out.getvalue(), "err": err.getvalue()}
+    for suffix, text in files.items():
+        Path(f"{n}.{suffix}").write_text(text, encoding="utf-8")
+    return files["out"]
+
+
+def main(src_dir: str, out_dir: str) -> int:
+    src = Path(src_dir).resolve()
+    sys.path.insert(0, str(src))
+    os.environ.pop("GEOMORPH_SEED", None)
+    from geomorph import cli
+
+    if src not in Path(cli.__file__).resolve().parents:
+        raise SystemExit(f"geomorph was imported from {cli.__file__}, not from {src}")
+    Path(out_dir).mkdir(parents=True)
+    os.chdir(out_dir)
+    sweep, saved = ops(), []
+    for n, (argv, traced) in enumerate(sweep):
+        if traced:
+            argv = argv + ["--trace", f"{n}.trace"]
+        if run(cli.main, n, argv) and "json" in argv:
+            saved.append(f"{n}.out")
+    for n, path in enumerate(saved, start=len(sweep)):
+        run(cli.main, n, ["report", path])
+    print(f"{len(sweep) + len(saved)} ops, {len(saved)} report re-renders, "
+          f"{len(list(Path().glob('*.trace')))} trace files in {out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    sys.exit(main(*sys.argv[1:]))
