@@ -148,7 +148,7 @@ def cmd_train(args) -> int:
         eta=args.eta, error_driven=args.error_driven, max_iters=args.max_iters
     )
     trained, trace = train(expo, corners, gold, cfg)
-    records = trace.as_dicts()
+    records = [r._asdict() for r in trace.records]
     if args.trace:
         write(args.trace, "".join(map(rpt.dumps_line, records)))
     ev, sections = _evaluated(corners, gold, trained)

@@ -8,12 +8,12 @@ to a target axis is an absolute angle difference.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSum, EmptyInventory, UnknownStem
+from .seeds import seeded_random
 
 HALF_PI = math.pi / 2
 
@@ -31,21 +31,25 @@ def wrap_angle(x: float) -> float:
 def angle_of_sum(a: float, b: float) -> tuple[float, float]:
     """Direction and magnitude of the sum of unit vectors at angles a and b.
 
-    The direction is the bisector (a + b) / 2 and the magnitude is
-    2 cos((a - b) / 2); both are computed through the wrapped separation so
-    inputs reduced into (-pi, pi] give the same answer as the raw angles.
-    Antipodal inputs have no direction.
+    The direction is `_sum_angle`'s bisector, in [-pi, pi], and the
+    magnitude is 2 cos((a - b) / 2), computed through the wrapped separation
+    so inputs reduced into (-pi, pi] give the same magnitude as the raw
+    angles. Antipodal inputs have no direction.
     """
     half = wrap_angle(a - b) / 2.0
     if abs(half) >= math.pi / 2 - 1e-12:
         raise DegenerateSum("antipodal unit vectors sum to zero")
-    return wrap_angle(b + half), 2.0 * math.cos(half)
+    return _sum_angle(a, b), 2.0 * math.cos(half)
 
 
 def _sum_angle(a: float, b: float) -> float:
-    # atan2 form; agrees with angle_of_sum inside its precondition and
-    # stays finite outside it, which the learner needs mid-flight
+    # stays finite for antipodal inputs, which the learner can pass mid-flight
     return math.atan2(math.sin(a) + math.sin(b), math.cos(a) + math.cos(b))
+
+
+def _offset(a: float, b: float, axis: float) -> float:
+    """Signed angle from the direction of the a+b sum to `axis`, in (-pi, pi]."""
+    return wrap_angle(axis - _sum_angle(a, b))
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,7 @@ class AngleModel:
 
     def sum_distance(self, a: str, b: str, value: str) -> float:
         """Absolute angle between the a+b sum direction and a named axis."""
-        s = _sum_angle(self.entries[a], self.entries[b])
-        return abs(wrap_angle(s - self.axis_angle(value)))
+        return abs(_offset(self.entries[a], self.entries[b], self.axis_angle(value)))
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ def learn_angles(
         for value in (x_value, y_value):
             if (stem, value) not in gold:
                 raise EmptyInventory(f"no gold affix for stem {stem!r} on {value!r}")
-    rng = random.Random(cfg.seed)
+    rng = seeded_random(cfg.seed)
     initial = initial or {}
     ang = {
         lab: initial[lab] if lab in initial else rng.uniform(-HALF_PI, HALF_PI)
@@ -209,27 +212,25 @@ def learn_angles(
         for affix in affixes:
             for value, axis in ((y_value, HALF_PI), (x_value, 0.0)):
                 if gold.get((stem, value)) == affix:
-                    targets.append((stem, affix, value, axis))
+                    targets.append((stem, affix, axis))
 
     total_adjustments = 0
     for it in range(1, cfg.max_iters + 1):
         adjusted = False
-        for stem, gold_affix, _value, axis in targets:
+        for stem, gold_affix, axis in targets:
+            dg = _offset(ang[stem], ang[gold_affix], axis)
             for rival in affixes:
                 if rival == gold_affix:
                     continue
-                gs = _sum_angle(ang[stem], ang[gold_affix])
-                rs = _sum_angle(ang[stem], ang[rival])
-                dg = abs(wrap_angle(gs - axis))
-                dr = abs(wrap_angle(rs - axis))
-                if dr < dg + cfg.margin:
+                dr = _offset(ang[stem], ang[rival], axis)
+                if abs(dr) < abs(dg) + cfg.margin:
                     adjusted = True
                     total_adjustments += 1
-                    d = _sign(wrap_angle(axis - gs))
-                    ang[stem] += cfg.stepsize * d
-                    ang[gold_affix] += cfg.stepsize * d
-                    if dr < HALF_PI:
-                        ang[rival] -= cfg.stepsize * _sign(wrap_angle(axis - rs))
+                    ang[stem] += cfg.stepsize * _sign(dg)
+                    ang[gold_affix] += cfg.stepsize * _sign(dg)
+                    if abs(dr) < HALF_PI:
+                        ang[rival] -= cfg.stepsize * _sign(dr)
+                    dg = _offset(ang[stem], ang[gold_affix], axis)
         if not adjusted:
             model = AngleModel(plane, {k: wrap_angle(v) for k, v in ang.items()})
             return AngleLearnResult(model, it - 1, True, total_adjustments)

@@ -102,25 +102,12 @@ class CountArray:
         _frozen(self.matrix)
 
 
-def count_features(corners: CornerMatrix, gold: SelectionTable, weights=None) -> CountArray:
-    """Co-occurrence counts of feature values with gold exponents.
-
-    With per-row weights this is cornersᵀ · diag(w) · gold; unit weights give
-    plain attestation counts.
-    """
+def count_features(corners: CornerMatrix, gold: SelectionTable) -> CountArray:
+    """Co-occurrence counts of feature values with gold exponents: cornersᵀ · gold."""
     if gold.matrix.shape[0] != corners.num_cells:
         raise ShapeMismatch("gold table and corner matrix disagree on cell count")
     gold.require_one_hot()
-    if weights is None:
-        w = np.ones(corners.num_cells)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (corners.num_cells,):
-            raise ShapeMismatch("one weight per cell required")
-        if (w <= 0).any():
-            raise ShapeMismatch("weights must be positive")
-    counts = corners.matrix.T @ (w[:, None] * gold.matrix)
-    return CountArray(gold.morphemes, counts)
+    return CountArray(gold.morphemes, corners.matrix.T @ gold.matrix)
 
 
 def normalize_columns(counts: CountArray) -> ExponentMatrix:
@@ -134,9 +121,9 @@ def normalize_columns(counts: CountArray) -> ExponentMatrix:
     return ExponentMatrix(counts.morphemes, counts.matrix / norms)
 
 
-def initial_exponents(corners: CornerMatrix, gold: SelectionTable, weights=None) -> ExponentMatrix:
+def initial_exponents(corners: CornerMatrix, gold: SelectionTable) -> ExponentMatrix:
     """Count-based initial placement: count co-occurrences, then normalize."""
-    return normalize_columns(count_features(corners, gold, weights))
+    return normalize_columns(count_features(corners, gold))
 
 
 def activations(corners: CornerMatrix, expo: ExponentMatrix) -> ActivationMatrix:

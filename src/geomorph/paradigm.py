@@ -69,8 +69,8 @@ class ParadigmFile:
         (kind,) = self.sections()
         return kind
 
-    def corner_matrix(self, fs: FeatureSystem | None = None) -> CornerMatrix:
-        fs = fs or self.feature_system()
+    def corner_matrix(self) -> CornerMatrix:
+        fs = self.feature_system()
         if self.cells:
             rows = self.cells
         elif self.classes:
@@ -79,17 +79,15 @@ class ParadigmFile:
             raise UndeclaredName("file declares no paradigm cells")
         return build_corner_matrix(fs, [ParadigmCell.of(fs, values) for values, _ in rows])
 
-    def gold_table(
-        self, fs: FeatureSystem | None = None, corners: CornerMatrix | None = None
-    ) -> SelectionTable:
+    def gold_table(self, corners: CornerMatrix | None = None) -> SelectionTable:
         """The gold winners; `corners`, when given, is this file's corner matrix."""
         if corners is None:
-            corners = self.corner_matrix(fs)
+            corners = self.corner_matrix()
         winners = [m for _, m in self.cells]
         return selection_from_winners(corners.row_labels, self.morphemes, winners)
 
-    def class_inventory(self, fs: FeatureSystem | None = None) -> ClassInventory:
-        corners = self.corner_matrix(fs)
+    def class_inventory(self) -> ClassInventory:
+        corners = self.corner_matrix()
         cell_values = [cell.values for cell in corners.row_labels]
         tables = {}
         lexemes = {}

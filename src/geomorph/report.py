@@ -44,12 +44,19 @@ def labeled_matrix(row_labels, col_labels, entries) -> dict:
     }
 
 
-def matrix_tsv(mat: dict) -> str:
-    lines = ["\t".join(["", *mat["col_labels"]])]
-    for label, row in zip(mat["row_labels"], mat["entries"]):
+def matrix_tsv(key: str, mat: dict) -> str:
+    """Matrix section `key` under a `# key` heading; ValueError if hand edits broke its shape."""
+    rows, cols, entries = mat["row_labels"], mat["col_labels"], mat["entries"]
+    if not (type(rows) is type(cols) is type(entries) is list
+            and all(type(label) is str for label in rows + cols)
+            and len(entries) == len(rows)
+            and all(type(row) is list and len(row) == len(cols) for row in entries)):
+        raise ValueError(f"matrix {key!r} needs string labels and one entry per row and column")
+    lines = [f"# {key}", "\t".join(["", *cols])]
+    for label, row in zip(rows, entries):
         cells = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
         lines.append("\t".join([label] + cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def build_report(command: str, config: dict, **sections) -> dict:
@@ -180,8 +187,7 @@ def _kv_lines(report: dict) -> list[str]:
             continue
         value = report[key]
         if isinstance(value, dict) and set(value) == {"row_labels", "col_labels", "entries"}:
-            lines.append(f"# {key}")
-            lines.append(matrix_tsv(value).rstrip("\n"))
+            lines.append(matrix_tsv(key, value))
         elif isinstance(value, list) and value and all(isinstance(item, dict) for item in value):
             cols = sorted({k for item in value for k in item})
             lines.append(f"# {key}")

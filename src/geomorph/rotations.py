@@ -27,6 +27,7 @@ from .exponence import (
     select_winners,
 )
 from .features import CornerMatrix, _frozen
+from .seeds import seeded_random
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,6 @@ class PlaneRotation:
     def __post_init__(self):
         if self.axis_i == self.axis_j or self.axis_i < 0 or self.axis_j < 0:
             raise BadAxis(f"bad plane ({self.axis_i}, {self.axis_j})")
-
-    def matrix(self, dim: int) -> np.ndarray:
-        if self.axis_i >= dim or self.axis_j >= dim:
-            raise BadAxis(f"axis out of range for dim {dim}")
-        r = np.eye(dim)
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        r[self.axis_i, self.axis_i] = c
-        r[self.axis_i, self.axis_j] = -s
-        r[self.axis_j, self.axis_i] = s
-        r[self.axis_j, self.axis_j] = c
-        return r
 
 
 @dataclass(frozen=True)
@@ -66,9 +56,8 @@ class RotationPlan:
         ]
 
 
-def apply_rotation(expo: ExponentMatrix, plan) -> ExponentMatrix:
-    """Apply plane rotations in order to every exponent column."""
-    rotations = plan.rotations if isinstance(plan, RotationPlan) else tuple(plan)
+def apply_rotation(expo: ExponentMatrix, rotations) -> ExponentMatrix:
+    """Apply a sequence of plane rotations in order to every exponent column."""
     b = np.array(expo.matrix)
     dim = b.shape[0]
     for rot in rotations:
@@ -318,7 +307,6 @@ def learn_class_rotation(
     target: SelectionTable,
     cfg: RotationLearnConfig = RotationLearnConfig(),
     class_label: str = "",
-    rng: random.Random | None = None,
 ) -> RotationLearnResult:
     """Search a rotation composition that makes the base realize `target`.
 
@@ -338,10 +326,8 @@ def learn_class_rotation(
     This is the one-lane case of the lockstep search `learn_all_classes` runs.
     """
     target.require_one_hot()
-    if rng is None:
-        rng = random.Random(cfg.seed)
     (record,), log = _learn_lanes(
-        base.matrix, corners.matrix, (target.matrix == 1.0)[None], [rng], cfg
+        base.matrix, corners.matrix, (target.matrix == 1.0)[None], [seeded_random(cfg.seed)], cfg
     )
     return RotationLearnResult(
         _plan(log, 0, record, class_label), record.iterations, record.converged, record.min_margin
@@ -381,7 +367,7 @@ def learn_all_classes(
     base_label = class_of_base(base, inv)
     labels = inv.labels()
     goals = np.stack([inv.classes[label].matrix == 1.0 for label in labels])
-    rngs = [random.Random(run_seed(cfg, ci, run))
+    rngs = [seeded_random(run_seed(cfg, ci, run))
             for ci in range(len(labels)) for run in range(cfg.runs)]
     records, log = _learn_lanes(
         base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), rngs, cfg

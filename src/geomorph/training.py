@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +39,13 @@ class TrainConfig:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One training pass; `_asdict()` is its trace line."""
+
     iteration: int
     mismatches: int
     min_margin: float
-    updated: tuple[str, ...]  # morphemes whose vectors moved this pass
+    updated: list[str]  # morphemes whose vectors moved this pass
 
 
 @dataclass
@@ -51,17 +53,6 @@ class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-
-    def as_dicts(self):
-        return [
-            {
-                "iteration": r.iteration,
-                "mismatches": r.mismatches,
-                "min_margin": r.min_margin,
-                "updated": list(r.updated),
-            }
-            for r in self.records
-        ]
 
 
 def delta_step(
@@ -125,7 +116,7 @@ def train(
         if it > 0:
             # record the state the previous pass produced
             trace.records.append(
-                TraceRecord(it, len(report.mismatches), report.min_margin, moved)
+                TraceRecord(it, len(report.mismatches), report.min_margin, list(moved))
             )
         if not report.mismatches:
             trace.converged = True

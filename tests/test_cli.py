@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import random
 import sys
 import warnings
 from collections import Counter
@@ -11,6 +12,7 @@ from geomorph import cli, paradigm
 from geomorph import report as rpt
 from geomorph.cli import main
 from geomorph.paradigm import ParadigmFile
+from geomorph.seeds import seeded_random
 from test_report import built_in
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval
@@ -121,6 +123,12 @@ def test_corrupt_saved_report_is_clean_exit_one(tmp_path, capsys):
         bad.write_text(text)
         code, out, err = run(capsys, "report", str(bad))
         assert (code, out, err) == (1, "", "error: a saved report must be a JSON object\n")
+    # a hand-edited matrix section: labels that are not strings, entries of the wrong shape
+    for labels, entries in (('[1]', '[[1]]'), ('["r"]', '[1]'), ('["r", "s"]', '[[1]]')):
+        bad.write_text('{"schema": 1, "m": {"row_labels": %s, "col_labels": ["a"], '
+                       '"entries": %s}}' % (labels, entries))
+        code, out, err = run(capsys, "report", str(bad))
+        assert (code, out) == (1, "") and err.startswith("error: matrix 'm' needs ")
     # a list is a table only when every item is a dict, else one JSON value
     bad.write_text('{"schema": 1, "x": [{"a": 1}, 2], "y": [{"b": 0.5}]}')
     code, out, _ = run(capsys, "report", str(bad))
@@ -327,6 +335,28 @@ def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):
     for label, c in classes.items():
         mine = [r for r in records if r["class"] == label]
         assert c["converged_runs"] == sum(r["converged"] for r in mine)
+
+
+def test_negative_seeds_do_not_replay_positive_ones(tmp_path, capsys):
+    """`random.Random` seeds from |seed|; in both learners -n must not replay n."""
+    for seed in (0, 1, 3, 3 * 1_000_003, 2**70):
+        assert seeded_random(seed).getstate() == random.Random(seed).getstate()
+    assert seeded_random(-3).getstate() != seeded_random(3).getstate()
+    angles = {}
+    for seed in ("3", "-3"):
+        code, out, _ = run(capsys, "compose", "german_plurals", "--seed", seed, "--format", "json")
+        assert code == 0
+        angles[seed] = json.loads(out)["angles"]
+    assert angles["3"] != angles["-3"]
+    runs = {}
+    for seed in ("1", "-1"):
+        trace = tmp_path / f"{seed}.jsonl"
+        run(capsys, "rotate", "nuer_classes", "--max-iters", "2", "--seed", seed,
+            "--trace", str(trace))
+        first = json.loads(trace.read_text().splitlines()[0])
+        runs[seed] = (first["class"], first["run"], first["min_margin"], first["rotations"])
+    assert runs["1"][:2] == runs["-1"][:2] == ("I", 0)
+    assert runs["1"] != runs["-1"]
 
 
 # ---- the parser is built once per process: its text and its state ----

@@ -63,7 +63,7 @@ def train_outcome(expo, corners, gold, cfg):
         trained, trace = train(expo, corners, gold, cfg)
     except ZeroColumn:
         return ZeroColumn
-    return trained.matrix.tobytes(), trace.as_dicts(), trace.converged, trace.iterations
+    return trained.matrix.tobytes(), trace.records, trace.converged, trace.iterations
 
 
 def assert_same_as_reference(expo, corners, gold, cfg):

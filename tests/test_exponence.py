@@ -184,10 +184,3 @@ def test_evaluate_shape_mismatch(english, russian):
     acts = activations(english.corner_matrix(), initial_exponents(english.corner_matrix(), english.gold_table()))
     with pytest.raises(ShapeMismatch):
         evaluate(acts, russian.gold_table())
-
-
-def test_weighted_counts_scale_rows(english):
-    corners, gold = english.corner_matrix(), english.gold_table()
-    unit = count_features(corners, gold)
-    doubled = count_features(corners, gold, weights=[2.0] * 12)
-    assert np.array_equal(doubled.matrix, 2 * unit.matrix)

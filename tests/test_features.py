@@ -85,7 +85,7 @@ def test_unknown_value_rejected():
 
 def test_corner_matrix_row_order_and_values(english):
     fs = english.feature_system()
-    corners = english.corner_matrix(fs)
+    corners = english.corner_matrix()
     assert corners.matrix.shape == (12, 7)
     labels = [c.label() for c in corners.row_labels]
     i = labels.index("past,2,sg")
@@ -118,13 +118,13 @@ def test_duplicate_cell_rejected():
 def test_feature_blocks_clean_for_bundled_paradigms(english, nuer):
     for pf in (english, nuer):
         fs = pf.feature_system()
-        corners = pf.corner_matrix(fs)
+        corners = pf.corner_matrix()
         assert validate_feature_blocks(corners, fs) == []
 
 
 def test_feature_blocks_report_constructed_violation(english):
     fs = english.feature_system()
-    corners = english.corner_matrix(fs)
+    corners = english.corner_matrix()
     bad = np.array(corners.matrix)
     bad[0, 0] = 1
     bad[0, 1] = 1  # both past and present set
@@ -144,7 +144,7 @@ def test_corner_vector_injective():
 def test_corner_matrix_stacks_the_corner_vectors(name):
     pf = fixtures.load(name)
     fs = pf.feature_system()
-    for cells in (all_cells(fs), pf.corner_matrix(fs).row_labels):
+    for cells in (all_cells(fs), pf.corner_matrix().row_labels):
         corners = build_corner_matrix(fs, cells)
         want = np.array([corner_vector(c, fs) for c in cells])
         assert corners.matrix.tobytes() == want.tobytes()

@@ -29,7 +29,7 @@ def test_english_fixture_shapes(english):
     assert fs.num_values == 7
     assert len(english.cells) == 12
     assert english.morphemes == ("0", "s", "ed")
-    gold = english.gold_table(fs)
+    gold = english.gold_table()
     assert gold.matrix.sum() == 12
 
 

@@ -36,18 +36,11 @@ NUER_DISTANCES = {
 }
 
 
-def test_plane_rotation_matrix_is_special_orthogonal():
-    rot = PlaneRotation(1, 3, 0.7)
-    r = rot.matrix(5)
-    assert np.allclose(r.T @ r, np.eye(5), atol=1e-12)
-    assert math.isclose(np.linalg.det(r), 1.0, abs_tol=1e-12)
-
-
 def test_plane_rotation_rejects_bad_axes():
     with pytest.raises(BadAxis):
         PlaneRotation(2, 2, 0.1)
     with pytest.raises(BadAxis):
-        PlaneRotation(0, 9, 0.1).matrix(3)
+        apply_rotation(ExponentMatrix(("a", "b", "c"), np.eye(3)), [PlaneRotation(0, 9, 0.1)])
 
 
 def test_identity_plan_is_noop(nuer):
@@ -155,7 +148,7 @@ def test_learn_rotation_reaches_neighbouring_class(nuer):
     )
     assert res.converged
     assert res.min_margin >= 0.02
-    rotated = apply_rotation(base, res.plan)
+    rotated = apply_rotation(base, res.plan.rotations)
     predicted, _ = select_winners(activations(inv.corners, rotated))
     assert np.array_equal(predicted.matrix, inv.classes["II"].matrix)
     # rigidity of the learned plan

@@ -30,6 +30,13 @@ ROTATE_VARIANTS = (
     ("--margin-floor", "0.3", "--runs", "3", "--seed", "2", "--plans", "--format", "json"),
     ("--runs", "2", "--seed", "7", "--format", "tsv"),
 )
+COMPOSE_VARIANTS = ((), *(("--seed", str(seed)) for seed in range(1, 7)),
+                    ("--stepsize", "0.05", "--margin", "0"), ("--margin", "0.3"),
+                    ("--max-iters", "0"), ("--max-iters", "5"))
+# negative seeds: their own random streams, not those of the positive seeds
+NEGATIVE_SEEDS = ((["compose", "german_plurals", "--seed", "-3", "--format", "json"], False),
+                  (["rotate", "nuer_classes", "--seed", "-1", "--runs", "2", "--plans",
+                    "--format", "json"], True))
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"))
@@ -49,10 +56,12 @@ def ops() -> list[tuple[list[str], bool]]:
         sweep.append((["init", "nuer_classes", "--format", fmt], False))
     for variant in ROTATE_VARIANTS:
         sweep.append((["rotate", "nuer_classes", *variant], True))
-    for argv in (["german_plurals", "--format", "json"], ["german_plurals", "--format", "tsv"],
-                 ["german_plurals", "--seed", "3", "--format", "json"],
-                 ["spanish_verbs", "--format", "json"], ["spanish_verbs", "--format", "tsv"]):
-        sweep.append((["compose", *argv], False))
+    for variant in COMPOSE_VARIANTS:
+        for fmt in ("json", "tsv"):
+            sweep.append((["compose", "german_plurals", *variant, "--format", fmt], False))
+    for fmt in ("json", "tsv"):
+        sweep.append((["compose", "spanish_verbs", "--format", fmt], False))
+    sweep.extend(NEGATIVE_SEEDS)
     sweep.extend((list(argv), False) for argv in WRONG_KIND)
     sweep.append((["rotate", "nuer_classes", "--runs", "100", "--seed", "0", "--plans",
                    "--format", "json"], False))
