@@ -45,14 +45,24 @@ class PlaneRotation:
 
 @dataclass(frozen=True)
 class RotationPlan:
-    """Ordered plane rotations deriving one class from the base configuration."""
+    """Ordered plane rotations deriving one class from the base configuration.
+
+    Step k rotates by `theta[k]` in the plane (`axis_i[k]`, `axis_j[k]`).
+    """
 
     class_label: str
-    rotations: tuple[PlaneRotation, ...]
+    axis_i: tuple[int, ...]
+    axis_j: tuple[int, ...]
+    theta: tuple[float, ...]
+
+    @property
+    def rotations(self) -> tuple[PlaneRotation, ...]:
+        return tuple(map(PlaneRotation, self.axis_i, self.axis_j, self.theta))
 
     def as_dicts(self):
         return [
-            {"i": r.axis_i, "j": r.axis_j, "theta": r.theta} for r in self.rotations
+            {"i": i, "j": j, "theta": theta}
+            for i, j, theta in zip(self.axis_i, self.axis_j, self.theta)
         ]
 
 
@@ -102,6 +112,8 @@ class ClassInventory:
 
 def weighted_counts(inv: ClassInventory, min_lexemes: int = 3):
     """Lexeme-count-weighted feature counts over the frequent classes."""
+    if min_lexemes < 1:
+        raise ValueError(f"min_lexemes must be at least 1, got {min_lexemes}")
     kept = [c for c in inv.labels() if inv.lexeme_counts[c] >= min_lexemes]
     if not kept:
         raise EmptyFilter(f"no class has at least {min_lexemes} lexemes")
@@ -191,6 +203,36 @@ class RunRecord(NamedTuple):
     rotations: int
 
 
+_BLOCK = 64  # sub-iterations whose random picks are drawn at once
+_WORDS = 3 * _BLOCK  # 32-bit words a lane short of picks draws at once
+
+
+def _choice_indices(rngs: list[random.Random], queue: np.ndarray, n: int, block: int):
+    """The next `block` values of each lane's `rng.choice(range(n))` stream.
+
+    `Random.choice` of n items takes 32-bit Mersenne words, each shifted right
+    by 32 - n.bit_length(), until one is below n; `getrandbits(32 * w)` returns
+    the next w words, least significant first. So a lane draws its words in
+    blocks, and `queue` (lanes, k) holds every lane's shifted words not used
+    yet: the accepted ones first, in stream order, then values >= n.
+    Returns the picks as a (block, lanes) array and the queue left over.
+    """
+    shift = 32 - n.bit_length()
+    while True:
+        have = np.count_nonzero(queue < n, axis=1)
+        short = np.flatnonzero(have < block)
+        if not short.size:
+            return queue[:, :block].T, queue[:, block : have.max()]
+        words = b"".join([rngs[lane].getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little")
+                          for lane in short.tolist()])
+        drawn = np.full((len(rngs), _WORDS), n, dtype=np.uint32)
+        drawn[short] = np.frombuffer(words, dtype="<u4").reshape(short.size, _WORDS) >> shift
+        queue = np.concatenate((queue, drawn), axis=1)
+        # move each lane's accepted words to the front, keeping their order
+        order = np.argsort(queue >= n, axis=1, kind="stable")
+        queue = queue.take(order + np.arange(0, queue.size, queue.shape[1])[:, None])
+
+
 def _learn_lanes(
     base: np.ndarray,
     phi: np.ndarray,
@@ -205,21 +247,27 @@ def _learn_lanes(
     `rngs[lane]`. Lanes share the corner matrix `phi` and the cell order, so
     every live lane spends the same sub-iteration on the same cell, and the
     (lanes, dim, exponents) stack is rotated with array operations. Per lane,
-    the arithmetic and the random draws are exactly those of a run on its
-    own; the gain, cos and sin stay scalar `math` calls for that reason.
-    Converged lanes leave the stacks, so a sub-iteration costs what the live
-    lanes need.
+    the arithmetic and the random picks are exactly those of a run on its
+    own: the picks are `rng.choice` of the cell's coordinates, drawn for a
+    block of sub-iterations at once, and the gain, cos, sin and sign test are
+    one pass of `math` scalars per sub-iteration. Converged lanes leave the
+    stacks, so a sub-iteration costs what the live lanes need.
 
     Returns one record per lane and the sub-iteration log `_plan` reads.
     """
     cells, (dim, morph) = phi.shape[0], base.shape
-    cell_coords = [np.flatnonzero(row).tolist() for row in phi]
+    per_cell = np.count_nonzero(phi, axis=1)
+    if not per_cell.all() or (per_cell != per_cell[0]).any():
+        raise ShapeMismatch("every cell needs the same, non-zero number of coordinates")
+    coords = np.nonzero(phi)[1].reshape(cells, -1)  # each cell's coordinates, ascending
     records: list[RunRecord | None] = [None] * len(rngs)
     live = np.arange(len(rngs))  # ids of the lanes still searching, ascending
     b = np.repeat(base[None], live.size, axis=0)
     is_goal, goal_index = goals, goals.argmax(axis=2)
+    queue = np.empty((live.size, 0), dtype=np.uint32)  # per lane, drawn words not used yet
+    towards = np.empty((0, live.size), dtype=coords.dtype)  # toward coordinates, (block, lanes)
     log = []  # one _stretch per run of sub-iterations with unchanged live lanes
-    steps = None  # the current stretch, per sub-iteration: away, toward, angles, kept signs
+    steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
     done = 0  # sub-iterations every live lane has taken
     ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
     while True:
@@ -230,46 +278,58 @@ def _learn_lanes(
             for lane, w in zip(live[ok].tolist(), worst[ok].tolist()):
                 records[lane] = RunRecord(True, -(-done // cells), w, done)
             keep = ~ok
-            live, b, is_goal, goal_index, worst = (
-                live[keep], b[keep], is_goal[keep], goal_index[keep], worst[keep]
+            live, b, is_goal, goal_index, worst, queue, towards = (
+                live[keep], b[keep], is_goal[keep], goal_index[keep], worst[keep], queue[keep],
+                towards[:, keep],
             )
             rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
             steps = []
             lanes = np.arange(live.size)
             rows = b.reshape(-1, morph)  # lane l, axis d is row l * dim + d
             first_row = lanes * dim
-            # where each lane's goal exponent sits in a flattened (lanes, morph) array, per cell
-            goal_at = lanes[:, None] * morph + goal_index
+            goal_of_cell = goal_index.T.tolist()
+            # where each lane's goal exponent sits in the rows (away, toward) that
+            # a sub-iteration moves, stacked into one flat array, per cell
+            goal_at = lanes * morph + goal_index.T
+            goal_moved = np.concatenate((goal_at, goal_at + live.size * morph), axis=1)
         if not live.size or done == cfg.max_iters * cells:
             break
+        t = done % _BLOCK
+        if t == 0:
+            block = min(_BLOCK, cfg.max_iters * cells - done)
+            picks, queue = _choice_indices(rngs, queue, coords.shape[1], block)
+            towards = coords[(done + np.arange(block))[:, None] % cells, picks]
         i = done % cells
         acts = phi[i] @ b
-        j_star = goal_index[:, i]
         # masked argmaxes: equal values go to the lowest index, as plans expect
         rival = np.where(is_goal[:, i], -np.inf, acts).argmax(axis=1)
-        thetas, toward, cos, sin = [], [], [], []
-        for row, r, j, rng in zip(acts.tolist(), rival.tolist(), j_star.tolist(), rngs):
-            theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
-            thetas.append(theta)
-            toward.append(rng.choice(cell_coords[i]))
-            cos.append(math.cos(theta))
-            sin.append(math.sin(theta))
-        toward_rows = first_row + toward
-        advantage = b[lanes, :, j_star] - b[lanes, :, rival]
+        toward_rows = first_row + towards[t]
+        advantage = b[lanes, :, goal_index[:, i]] - b[lanes, :, rival]
         advantage.put(toward_rows, -np.inf)
         away = advantage.argmax(axis=1)
+        # rows (away, toward, toward, away): the rows to rotate, then their partners
         away_rows = first_row + away
-        x_away, x_toward = rows.take(away_rows, axis=0), rows.take(toward_rows, axis=0)
-        c, s = np.array(cos), np.array(sin)
-        # counter-clockwise in the (away, toward) plane unless clockwise raises the
-        # intended exponent's toward-coordinate more; rotating by -s is that branch, exactly
-        s_goal, c_goal = s * x_away.take(goal_at[:, i]), c * x_toward.take(goal_at[:, i])
-        keep_sign = s_goal + c_goal >= c_goal - s_goal
-        s = np.where(keep_sign, s, -s)[:, None]
-        c = c[:, None]
-        rows[away_rows] = c * x_away - s * x_toward
-        rows[toward_rows] = s * x_away + c * x_toward
-        steps.append((away, toward, thetas, keep_sign))
+        moved = np.concatenate((away_rows, toward_rows))
+        x = rows.take(np.concatenate((moved, toward_rows, away_rows)), axis=0)
+        cos, sin, signed = [], [], []
+        for row, r, j, x_away, x_toward in zip(
+            acts.tolist(), rival.tolist(), goal_of_cell[i],
+            *x.take(goal_moved[i]).reshape(2, -1).tolist(),
+        ):
+            theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
+            c, s = math.cos(theta), math.sin(theta)
+            # counter-clockwise in the (away, toward) plane unless clockwise raises the
+            # intended exponent's toward-coordinate more; rotating by -s is that branch, exactly
+            s_goal, c_goal = s * x_away, c * x_toward
+            if not s_goal + c_goal >= c_goal - s_goal:
+                theta, s = -theta, -s
+            cos.append(c)
+            sin.append(s)
+            signed.append(theta)
+        # away rows become c * x_away - s * x_toward, toward rows c * x_toward + s * x_away
+        x *= np.array(cos + cos + [-v for v in sin] + sin)[:, None]
+        rows[moved] = x[: 2 * live.size] + x[2 * live.size :]
+        steps.append((away, towards[t], signed))
         done += 1
         ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
     if steps:
@@ -281,24 +341,22 @@ def _learn_lanes(
 
 def _stretch(live: np.ndarray, steps: list, dim: int) -> tuple:
     """Sub-iteration records of unchanged live lanes as (sub-iterations, lanes) arrays."""
-    away, toward, thetas, keep_sign = zip(*steps)
+    away, toward, signed = zip(*steps)
     axis = np.min_scalar_type(dim)
-    thetas = np.array(thetas)
-    return (live, np.array(away, dtype=axis), np.array(toward, dtype=axis),
-            np.where(keep_sign, thetas, -thetas))
+    return live, np.array(away, dtype=axis), np.array(toward, dtype=axis), np.array(signed)
 
 
 def _plan(log: list, lane: int, record: RunRecord, label: str) -> RotationPlan:
     """Rebuild one lane's rotation plan from the sub-iteration log."""
-    rotations = []
-    for live, away, toward, signed in log:
-        if len(rotations) == record.rotations:
+    columns = ([], [], [])
+    for live, *stretch in log:
+        n = record.rotations - len(columns[0])
+        if not n:
             break
-        k, n = live.searchsorted(lane), record.rotations - len(rotations)
-        rotations += map(
-            PlaneRotation, away[:n, k].tolist(), toward[:n, k].tolist(), signed[:n, k].tolist()
-        )
-    return RotationPlan(label, tuple(rotations))
+        k = live.searchsorted(lane)
+        for column, steps in zip(columns, stretch):
+            column += steps[:n, k].tolist()
+    return RotationPlan(label, *map(tuple, columns))
 
 
 def learn_class_rotation(

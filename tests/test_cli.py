@@ -239,6 +239,14 @@ def test_rotate_rejects_negative_max_iters(capsys):
     assert "max_iters" in err
 
 
+@pytest.mark.parametrize("command", ["init", "rotate"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_class_commands_reject_min_lexemes_below_one(capsys, command, value):
+    code, out, err = run(capsys, command, "nuer_classes", "--min-lexemes", value)
+    assert code == 1 and out == ""
+    assert err == f"error: min_lexemes must be at least 1, got {value}\n"
+
+
 def test_compose_rejects_negative_max_iters(capsys):
     code, out, err = run(capsys, "compose", "german_plurals", "--max-iters", "-3")
     assert code == 1 and out == ""

@@ -6,6 +6,7 @@ run) lane of `learn_all_classes`, and every `learn_class_rotation` call,
 must reproduce it exactly: same plan, iterations, convergence and margin.
 """
 import functools
+import itertools
 import math
 import random
 
@@ -16,22 +17,65 @@ from geomorph import fixtures, parse_text
 from geomorph.exponence import gold_margins
 from geomorph.rotations import (
     ClassRunStats,
-    PlaneRotation,
     RotationLearnConfig,
     RotationLearnResult,
     RotationPlan,
     RunRecord,
+    _choice_indices,
     base_configuration,
     class_of_base,
     learn_all_classes,
     learn_class_rotation,
     sigmoid_gain,
 )
+from geomorph.seeds import seeded_random
 
 ONE_EXPONENT = (
     "FEATURE number: sg pl\nMORPHEMES: a\n"
     "CLASS A LEXEMES 3\nCELL sg -> a\nCELL pl -> a\nEND\n"
 )
+
+
+def _class_text(shape, classes):
+    """A class file whose k-th feature has shape[k] values.
+
+    `classes` maps a label to its lexeme count and its exponents, one letter
+    per cell, the cells in cross-product order (last feature fastest).
+    """
+    features = [[f"f{k}v{v}" for v in range(n)] for k, n in enumerate(shape)]
+    morphemes = sorted(set("".join(cells for _, cells in classes.values())))
+    lines = [f"FEATURE f{k}: {' '.join(values)}" for k, values in enumerate(features)]
+    lines.append(f"MORPHEMES: {' '.join(morphemes)}")
+    for label, (lexemes, cells) in classes.items():
+        lines.append(f"CLASS {label} LEXEMES {lexemes}")
+        lines += [f"CELL {' '.join(cell)} -> {m}"
+                  for cell, m in zip(itertools.product(*features), cells, strict=True)]
+        lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+# Three and four features: a cell's activation sums three or four coordinates,
+# where a product over stacked cells can round differently from the per-cell
+# one. Each file's classes are the winners of one random configuration after
+# two small plane rotations, so many runs converge within 30 iterations; the
+# class with 2 lexemes stays out of the base configuration.
+MULTI_FEATURE = {
+    "3x3x2": _class_text((3, 3, 2), {
+        "C1": (20, "aabbbbaabbdddacccc"), "C2": (9, "aabbbbdabadddacccc"),
+        "C3": (5, "dabbbbdabbdddabbcc"), "C4": (3, "aabbbbaabbdddabcdc"),
+        "C5": (2, "aabbbbaabbdddaccdc"),
+    }),
+    "3x2x2x2": _class_text((3, 2, 2, 2), {
+        "C1": (20, "caddcacdaaddaaddbabdcadd"), "C2": (9, "cadacacaaaddaaddbabdcadd"),
+        "C3": (5, "caddcacdaaddaaddbabdcabd"), "C4": (3, "caddcacdaaddaaddbaddcadd"),
+        "C5": (2, "caddcacdaaddaaddcaddcadd"),
+    }),
+    "4x3x2": _class_text((4, 3, 2), {
+        "C1": (20, "bbddcdddadddbbccccbbaacc"), "C2": (9, "bbadcdbdadddbbcdccabaacc"),
+        "C3": (5, "bbddddddadddbbccccbbaacc"), "C4": (3, "bbcdcdddddddbbccccabaaac"),
+        "C5": (2, "bbddddddddddbbccccbbaacc"),
+    }),
+}
 
 
 def _reference_margins_ok(acts, is_goal, floor):
@@ -45,12 +89,11 @@ def sequential_learn(base, corners, target, cfg, class_label, rng):
     b = np.array(base.matrix)
     phi = corners.matrix
     is_goal = target.matrix == 1.0
-    plan = []
+    axis_i, axis_j, angles = [], [], []  # the plan's columns
 
     def current_result(iterations, converged, worst):
-        return RotationLearnResult(
-            RotationPlan(class_label, tuple(plan)), iterations, converged, worst
-        )
+        plan = RotationPlan(class_label, tuple(axis_i), tuple(axis_j), tuple(angles))
+        return RotationLearnResult(plan, iterations, converged, worst)
 
     ok, worst = _reference_margins_ok(phi @ b, is_goal, cfg.margin_floor)
     if ok:
@@ -81,7 +124,9 @@ def sequential_learn(base, corners, target, cfg, class_label, rng):
                 signed = -theta
                 b[away] = c * x_away + s * x_toward
                 b[toward] = -s * x_away + c * x_toward
-            plan.append(PlaneRotation(away, toward, signed))
+            axis_i.append(away)
+            axis_j.append(toward)
+            angles.append(signed)
             ok, worst = _reference_margins_ok(phi @ b, is_goal, cfg.margin_floor)
             if ok:
                 return current_result(it, True, worst)
@@ -173,10 +218,42 @@ def test_every_lane_matches_a_sequential_run(seed, runs, max_iters, floor):
         assert any(r.converged and r.iterations > 7 for s in stats for r in s.run_records)
 
 
+# (seed, runs, max_iters, margin_floor) for the files with three or more features
+MULTI_GRID = [(0, 3, 30, 0.02), (2, 3, 7, 0.02), (3, 1, 1, 0.02), (4, 3, 7, 0.3)]
+
+
+@pytest.mark.parametrize("name", MULTI_FEATURE)
+@pytest.mark.parametrize("seed,runs,max_iters,floor", MULTI_GRID)
+def test_lanes_match_with_three_or_more_features(name, seed, runs, max_iters, floor):
+    cfg = RotationLearnConfig(margin_floor=floor, max_iters=max_iters, runs=runs, seed=seed)
+    stats, _ = _assert_lanes_match(MULTI_FEATURE[name], cfg)
+    records = [r for s in stats for r in s.run_records]
+    if max_iters < 30:
+        assert any(not r.converged for r in records)
+    else:
+        assert any(r.converged and r.iterations > 7 for r in records)
+
+
 @pytest.mark.parametrize("runs", [1, 3])
 def test_one_exponent_lanes_match_a_sequential_run(runs):
     stats, _ = _assert_lanes_match(ONE_EXPONENT, RotationLearnConfig(runs=runs, seed=2))
     assert stats[0].run_records == (RunRecord(True, 0, math.inf, 0),) * runs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_draws_reproduce_random_choice(n):
+    # -3 is keyed by the string "-3"; blocks of uneven length cross many refills
+    seeds = [0, 1, 1_009, 123_456_789, -3]
+    rngs = [seeded_random(seed) for seed in seeds]
+    want = [seeded_random(seed) for seed in seeds]
+    queue = np.empty((len(seeds), 0), dtype=np.uint32)
+    blocks = [64, 1, 63, 37, 64] * 25  # 5,725 draws per stream
+    for k, block in enumerate(blocks):
+        if k == len(blocks) // 2:  # a lane leaves, with its stream and its queue row
+            del rngs[1], want[1]
+            queue = np.delete(queue, 1, axis=0)
+        picks, queue = _choice_indices(rngs, queue, n, block)
+        assert picks.tolist() == [[rng.choice(range(n)) for rng in want] for _ in range(block)]
 
 
 @pytest.mark.parametrize("label,seed,max_iters", [("I", 3, 500), ("V", 1, 7), ("III", 0, 1)])

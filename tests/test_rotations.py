@@ -20,7 +20,8 @@ from geomorph import (
     sigmoid_gain,
     weighted_counts,
 )
-from geomorph.errors import BadAxis, EmptyFilter
+from geomorph.errors import BadAxis, EmptyFilter, ShapeMismatch
+from geomorph.features import CornerMatrix
 
 # weighted attestation counts computed from the class table, frequent classes only
 NUER_COUNTS = {
@@ -66,6 +67,13 @@ def test_nuer_weighted_counts_pinned(nuer):
 def test_nuer_filter_can_empty(nuer):
     with pytest.raises(EmptyFilter):
         weighted_counts(nuer.class_inventory(), 1000)
+
+
+@pytest.mark.parametrize("min_lexemes", [0, -5])
+def test_weighted_counts_rejects_min_lexemes_below_one(nuer, min_lexemes):
+    # every class has at least one lexeme, so such a filter would keep them all
+    with pytest.raises(ValueError, match="min_lexemes must be at least 1"):
+        weighted_counts(nuer.class_inventory(), min_lexemes)
 
 
 def test_single_class_weighting_degenerates_to_plain_init(nuer):
@@ -251,3 +259,20 @@ def test_learned_plan_serializes(nuer):
     for rot in res.plan.rotations:
         assert type(rot.axis_i) is int and type(rot.axis_j) is int
     assert json.loads(json.dumps(res.plan.as_dicts())) == res.plan.as_dicts()
+    # the plan is held as columns; rows and rotations are read off them
+    plan = res.plan
+    assert len(plan.axis_i) == len(plan.axis_j) == len(plan.theta) == len(plan.rotations)
+    assert plan.as_dicts() == [{"i": r.axis_i, "j": r.axis_j, "theta": r.theta}
+                               for r in plan.rotations]
+
+
+def test_learner_needs_one_coordinate_count_for_every_cell(nuer):
+    # a cell's random toward-coordinate is drawn like `choice` of its
+    # coordinates, in blocks that assume the same count for every cell
+    inv = nuer.class_inventory()
+    base = base_configuration(inv, 3)
+    bad = np.array(inv.corners.matrix)
+    bad[0, :] = 1.0
+    corners = CornerMatrix(inv.corners.fs, inv.corners.row_labels, bad)
+    with pytest.raises(ShapeMismatch, match="same, non-zero number of coordinates"):
+        learn_class_rotation(base, corners, inv.classes["I"])

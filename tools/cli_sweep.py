@@ -8,13 +8,16 @@ in it. Op n writes `n.argv` (its arguments, one a line), `n.code` (the exit
 code), `n.out` and `n.err` (stdout and stderr) and, when it was given
 `--trace`, `n.trace` if the op wrote one. Ops run with OUT_DIR as the working
 directory and name their files relative to it, so the outputs of two checkouts
-compare with `diff -r OUT_A OUT_B`. The sweep ends with `report` on every
-non-empty JSON output of the ops before it.
+compare with `diff -r OUT_A OUT_B`. Before the ops, the sweep writes the class
+file MULTI_FEATURE into OUT_DIR, and `rotate` runs on it as well as on the
+bundled Nuer classes. The sweep ends with `report` on every non-empty JSON
+output of the ops before it.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -37,6 +40,20 @@ COMPOSE_VARIANTS = ((), *(("--seed", str(seed)) for seed in range(1, 7)),
 NEGATIVE_SEEDS = ((["compose", "german_plurals", "--seed", "-3", "--format", "json"], False),
                   (["rotate", "nuer_classes", "--seed", "-1", "--runs", "2", "--plans",
                     "--format", "json"], True))
+# A class file with four features (3 x 2 x 2 x 2 values, 24 cells): a cell's
+# activation sums four coordinates, so a change in how products are summed shows
+# in its rotate outputs, where Nuer's two features may hide it. Per class: its
+# lexeme count and its exponent per cell, cells in cross-product order.
+MULTI_FEATURE = "classes_3x2x2x2.par"
+MULTI_SHAPE = (3, 2, 2, 2)
+MULTI_CLASSES = {"C1": (20, "caddcacdaaddaaddbabdcadd"), "C2": (9, "cadacacaaaddaaddbabdcadd"),
+                 "C3": (5, "caddcacdaaddaaddbabdcabd"), "C4": (3, "caddcacdaaddaaddbaddcadd"),
+                 "C5": (2, "caddcacdaaddaaddcaddcadd")}
+MULTI_ROTATE_VARIANTS = (
+    (("--plans", "--format", "json"), False),
+    (("--runs", "3", "--margin-floor", "0.3", "--seed", "4", "--plans", "--format", "json"), True),
+    (("--runs", "2", "--seed", "1", "--format", "tsv"), False),
+)
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"))
@@ -65,7 +82,24 @@ def ops() -> list[tuple[list[str], bool]]:
     sweep.extend((list(argv), False) for argv in WRONG_KIND)
     sweep.append((["rotate", "nuer_classes", "--runs", "100", "--seed", "0", "--plans",
                    "--format", "json"], False))
+    sweep.extend((["rotate", MULTI_FEATURE, *variant], traced)
+                 for variant, traced in MULTI_ROTATE_VARIANTS)
+    sweep.extend(([command, "nuer_classes", "--min-lexemes", "0"], False)
+                 for command in ("init", "rotate"))
     return sweep
+
+
+def multi_feature_text() -> str:
+    """The class file MULTI_FEATURE, from MULTI_SHAPE and MULTI_CLASSES."""
+    features = [[f"f{k}v{v}" for v in range(n)] for k, n in enumerate(MULTI_SHAPE)]
+    lines = [f"FEATURE f{k}: {' '.join(values)}" for k, values in enumerate(features)]
+    lines.append("MORPHEMES: a b c d")
+    for label, (lexemes, cells) in MULTI_CLASSES.items():
+        lines.append(f"CLASS {label} LEXEMES {lexemes}")
+        lines += [f"CELL {' '.join(cell)} -> {m}"
+                  for cell, m in zip(itertools.product(*features), cells, strict=True)]
+        lines.append("END")
+    return "\n".join(lines) + "\n"
 
 
 def run(main, n: int, argv: list[str]) -> str:
@@ -93,6 +127,7 @@ def main(src_dir: str, out_dir: str) -> int:
         raise SystemExit(f"geomorph was imported from {cli.__file__}, not from {src}")
     Path(out_dir).mkdir(parents=True)
     os.chdir(out_dir)
+    Path(MULTI_FEATURE).write_text(multi_feature_text(), encoding="utf-8")
     sweep, saved = ops(), []
     for n, (argv, traced) in enumerate(sweep):
         if traced:
