@@ -83,6 +83,8 @@ def _single_pipeline(pf: ParadigmFile):
 
 def cmd_init(args) -> int:
     pf = load_paradigm(args.paradigm)
+    if args.min_lexemes < 1:  # a cell table does not read it, but its report echoes it
+        raise ValueError(f"min_lexemes must be at least 1, got {args.min_lexemes}")
     kind = pf.kind()
     if kind == "classes":
         inv = pf.class_inventory()

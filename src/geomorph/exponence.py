@@ -127,7 +127,12 @@ def initial_exponents(corners: CornerMatrix, gold: SelectionTable) -> ExponentMa
 
 
 def activations(corners: CornerMatrix, expo: ExponentMatrix) -> ActivationMatrix:
-    """Activation of every exponent at every cell (exact matrix product)."""
+    """Activation of every exponent at every cell: the product corners @ exponents.
+
+    The model's one activation: every layer reads a cell's activations as its
+    row of `corners.matrix @ b`, never from a per-cell product, which rounds
+    differently once a cell has three or more features.
+    """
     if corners.matrix.shape[1] != expo.matrix.shape[0]:
         raise ShapeMismatch("corner width and exponent height differ")
     return ActivationMatrix(

@@ -246,11 +246,13 @@ def _learn_lanes(
     goal mask `goals[lane]` (cells x exponents) and its own random stream
     `rngs[lane]`. Lanes share the corner matrix `phi` and the cell order, so
     every live lane spends the same sub-iteration on the same cell, and the
-    (lanes, dim, exponents) stack is rotated with array operations. Per lane,
-    the arithmetic and the random picks are exactly those of a run on its
-    own: the picks are `rng.choice` of the cell's coordinates, drawn for a
-    block of sub-iterations at once, and the gain, cos, sin and sign test are
-    one pass of `math` scalars per sub-iteration. Converged lanes leave the
+    (lanes, dim, exponents) stack is rotated with array operations. One
+    product `phi @ b` per sub-iteration serves both the margin check and the
+    next sub-iteration, which reads its cell's row of it. Per lane, the
+    arithmetic and the random picks are exactly those of a run on its own:
+    the picks are `rng.choice` of the cell's coordinates, drawn for a block
+    of sub-iterations at once, and the gain, cos, sin and sign test are one
+    pass of `math` scalars per sub-iteration. Converged lanes leave the
     stacks, so a sub-iteration costs what the live lanes need.
 
     Returns one record per lane and the sub-iteration log `_plan` reads.
@@ -269,7 +271,8 @@ def _learn_lanes(
     log = []  # one _stretch per run of sub-iterations with unchanged live lanes
     steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
     done = 0  # sub-iterations every live lane has taken
-    ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
+    stack = phi @ b  # (lanes, cells, exponents): every live lane's activations
+    ok, worst = _margins_ok(stack, is_goal, cfg.margin_floor)
     while True:
         # drop the lanes that just converged; the first pass builds the stacks
         if steps is None or ok.any():
@@ -278,9 +281,9 @@ def _learn_lanes(
             for lane, w in zip(live[ok].tolist(), worst[ok].tolist()):
                 records[lane] = RunRecord(True, -(-done // cells), w, done)
             keep = ~ok
-            live, b, is_goal, goal_index, worst, queue, towards = (
-                live[keep], b[keep], is_goal[keep], goal_index[keep], worst[keep], queue[keep],
-                towards[:, keep],
+            live, b, stack, is_goal, goal_index, worst, queue, towards = (
+                live[keep], b[keep], stack[keep], is_goal[keep], goal_index[keep], worst[keep],
+                queue[keep], towards[:, keep],
             )
             rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
             steps = []
@@ -300,7 +303,7 @@ def _learn_lanes(
             picks, queue = _choice_indices(rngs, queue, coords.shape[1], block)
             towards = coords[(done + np.arange(block))[:, None] % cells, picks]
         i = done % cells
-        acts = phi[i] @ b
+        acts = stack[:, i]
         # masked argmaxes: equal values go to the lowest index, as plans expect
         rival = np.where(is_goal[:, i], -np.inf, acts).argmax(axis=1)
         toward_rows = first_row + towards[t]
@@ -331,7 +334,8 @@ def _learn_lanes(
         rows[moved] = x[: 2 * live.size] + x[2 * live.size :]
         steps.append((away, towards[t], signed))
         done += 1
-        ok, worst = _margins_ok(phi @ b, is_goal, cfg.margin_floor)
+        stack = phi @ b
+        ok, worst = _margins_ok(stack, is_goal, cfg.margin_floor)
     if steps:
         log.append(_stretch(live, steps, dim))
     for lane, w in zip(live.tolist(), worst.tolist()):

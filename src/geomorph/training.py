@@ -4,8 +4,9 @@ One training pass sweeps the paradigm cells in row order. At every visited
 cell each exponent column moves by eta * (target - activation) * corner,
 and the columns are renormalized to unit length immediately after the
 cell's update; activations always reflect the vectors as they currently
-stand. With error_driven set, only cells whose strict winner disagrees
-with the gold choice are visited.
+stand, each the cell's row of the product `activations` computes. With
+error_driven set, only cells whose strict winner disagrees with the gold
+choice are visited.
 """
 from __future__ import annotations
 
@@ -74,9 +75,10 @@ def delta_step(
     moved = [False] * b.shape[1]
     try:
         with np.errstate(over="raise"):
+            stack = corners.matrix @ b  # the activations; recomputed after each update
             for i, g in enumerate(gold.matrix.argmax(axis=1).tolist()):
                 corner = corners.matrix[i]
-                acts = corner @ b
+                acts = stack[i]
                 a = acts.tolist()
                 if cfg.error_driven and gold_wins(a, g):
                     continue
@@ -88,6 +90,7 @@ def delta_step(
                 if norms.min() < 1e-12:
                     raise ZeroColumn("update drove an exponent column to zero")
                 b /= norms
+                stack = corners.matrix @ b
                 for j, x in enumerate(a):  # column j moves unless target - x == 0
                     if x != (1.0 if j == g else 0.0):
                         moved[j] = True

@@ -239,10 +239,15 @@ def test_rotate_rejects_negative_max_iters(capsys):
     assert "max_iters" in err
 
 
-@pytest.mark.parametrize("command", ["init", "rotate"])
+# init rejects the value on a cell table too, which does not read it
+@pytest.mark.parametrize(
+    "command,paradigm",
+    [("init", "nuer_classes"), ("rotate", "nuer_classes"), ("init", "english_weak_verb")],
+    ids=["init", "rotate", "init-cell-table"],
+)
 @pytest.mark.parametrize("value", ["0", "-5"])
-def test_class_commands_reject_min_lexemes_below_one(capsys, command, value):
-    code, out, err = run(capsys, command, "nuer_classes", "--min-lexemes", value)
+def test_class_commands_reject_min_lexemes_below_one(capsys, command, paradigm, value):
+    code, out, err = run(capsys, command, paradigm, "--min-lexemes", value)
     assert code == 1 and out == ""
     assert err == f"error: min_lexemes must be at least 1, got {value}\n"
 

@@ -35,7 +35,7 @@ def reference_delta_step(expo, corners, gold, cfg):
     updated: set[int] = set()
     for i in range(corners.num_cells):
         corner = corners.matrix[i]
-        acts = corner @ b
+        acts = (corners.matrix @ b)[i]
         if cfg.error_driven and gold_margins(acts, is_gold[i])[0] > 0:
             continue
         if cfg.eta == 0.0:

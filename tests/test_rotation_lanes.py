@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from geomorph import fixtures, parse_text
-from geomorph.exponence import gold_margins
+from geomorph.exponence import activations, evaluate, gold_margins
 from geomorph.rotations import (
     ClassRunStats,
     RotationLearnConfig,
@@ -22,6 +22,7 @@ from geomorph.rotations import (
     RotationPlan,
     RunRecord,
     _choice_indices,
+    apply_rotation,
     base_configuration,
     class_of_base,
     learn_all_classes,
@@ -103,7 +104,7 @@ def sequential_learn(base, corners, target, cfg, class_label, rng):
     goal_index = target.matrix.argmax(axis=1).tolist()
     for it in range(1, cfg.max_iters + 1):
         for i in range(phi.shape[0]):
-            acts = phi[i] @ b
+            acts = (phi @ b)[i]
             j_star = goal_index[i]
             rival = int(np.argmax(np.where(is_goal[i], -np.inf, acts)))
             gain = sigmoid_gain(float(acts[rival]), float(acts[j_star]))
@@ -182,9 +183,20 @@ def _reference_stats(text, cfg):
 
 
 def _assert_lanes_match(text, cfg):
-    inv, _ = _inventory(text)
+    inv, base = _inventory(text)
     got = learn_all_classes(inv, cfg, 3)
     assert got == _reference_stats(text, cfg)
+    # a converged run's plan, re-applied and scored as `select` scores it,
+    # realizes its class with exactly the margin the learner stopped at
+    for ci, (label, stats) in enumerate(zip(inv.labels(), got[0])):
+        for run, record in enumerate(stats.run_records):
+            if record.converged:
+                plan = _reference_run(text, cfg.seed, cfg.max_iters, cfg.margin_floor,
+                                      ci, run).plan
+                report = evaluate(activations(inv.corners, apply_rotation(base, plan.rotations)),
+                                  inv.classes[label])
+                assert report.mismatches == ()
+                assert report.min_margin.hex() == record.min_margin.hex()
     return got
 
 

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from test_delta_reference import delta_cases
 
 from geomorph import (
     TrainConfig,
@@ -9,8 +12,11 @@ from geomorph import (
     delta_step,
     evaluate,
     initial_exponents,
+    parse_text,
     train,
 )
+from geomorph.errors import ZeroColumn
+from geomorph.exponence import ExponentMatrix
 
 # exponent vectors after the single corrective pass on the German paradigm
 GERMAN_AFTER_ONE_PASS = {
@@ -126,3 +132,59 @@ def test_training_is_deterministic(latin):
     b, trace_b = train(expo, corners, gold, TrainConfig(eta=0.1))
     assert np.array_equal(a.matrix, b.matrix)
     assert trace_a.records == trace_b.records
+
+
+# Near-integer unit columns on a 3 x 3 x 2 system, gold the strict winner of
+# each cell's product with one corner. At cell f0v0,f1v1,f2v0 that product
+# makes e0 win by one ulp, while the cell's row of the corners x exponents
+# product ties e0 with e3.
+STALL_FEATURES = [[f"f{k}v{v}" for v in range(n)] for k, n in enumerate((3, 3, 2))]
+STALL_GOLD = "310131220122010101"  # exponent per cell, cross-product order
+STALL_TEXT = "".join(
+    [f"FEATURE f{k}: {' '.join(values)}\n" for k, values in enumerate(STALL_FEATURES)]
+    + ["MORPHEMES: e0 e1 e2 e3\n"]
+    + [f"CELL {' '.join(cell)} -> e{g}\n"
+       for cell, g in zip(itertools.product(*STALL_FEATURES), STALL_GOLD, strict=True)]
+)
+STALL_MATRIX = [
+    ["-0x1.44eeeb8eaf931p-54", "0x1.09318615f8f47p-51", "0x1.5f3aa673fa90ap-3", "0x1.13dfadae5bf50p-1"],
+    ["0x1.6fd4e79325463p-2", "-0x1.bf2e71a11cab3p-55", "0x1.076bfcd6fbecfp-1", "0x1.13dfadae5bf50p-1"],
+    ["0x1.6fd4e7932546ap-2", "-0x1.1bd11d5cad07fp-56", "0x1.5f3aa673fa905p-3", "0x1.6fd4e79325463p-2"],
+    ["0x1.6fd4e7932546cp-3", "0x1.b6209ee810aa9p-54", "0x1.076bfcd6fbecdp-1", "-0x1.8a5f03986a4e3p-54"],
+    ["0x1.13dfadae5bf4dp-1", "0x1.43d136248490bp-2", "0x1.5f3aa673fa910p-2", "-0x1.af26693f75642p-52"],
+    ["0x1.f18b0faa80773p-58", "-0x1.4355f0695b12dp-52", "0x1.076bfcd6fbecbp-1", "0x1.a431e8f2a9614p-53"],
+    ["0x1.13dfadae5bf4dp-1", "0x1.c91c6db6ee259p-53", "0x1.5f3aa673fa90ap-3", "0x1.13dfadae5bf4ap-1"],
+    ["0x1.6fd4e79325463p-2", "0x1.e5b9d136c6d97p-1", "-0x1.ce5aa43118d4fp-53", "0x1.3352f759b8f03p-54"],
+]
+
+
+def stall_case():
+    pf = parse_text(STALL_TEXT)
+    corners, gold = pf.corner_matrix(), pf.gold_table()
+    b = np.array([[float.fromhex(x) for x in row] for row in STALL_MATRIX])
+    return ExponentMatrix(gold.morphemes, b), corners, gold, TrainConfig()
+
+
+@settings(deadline=None)
+@given(delta_cases())
+@example(stall_case())
+def test_pass_that_moves_nothing_leaves_no_mismatch(case):
+    # a pass moves nothing only when it visits no cell, so every cell must
+    # already choose gold under the activations `evaluate` reads
+    expo, corners, gold, cfg = case
+    cfg = TrainConfig(eta=cfg.eta or 0.1, error_driven=True)
+    try:
+        stepped, moved = delta_step(expo, corners, gold, cfg)
+    except ZeroColumn:
+        return
+    if not moved:
+        assert evaluate(activations(corners, stepped), gold).mismatches == ()
+
+
+def test_one_ulp_tie_is_trained_away():
+    expo, corners, gold, cfg = stall_case()
+    report = evaluate(activations(corners, expo), gold)
+    assert [report.row_labels[i].label() for i in report.ties] == ["f0v0,f1v1,f2v0"]
+    _, trace = train(expo, corners, gold, TrainConfig(max_iters=20))
+    assert trace.converged and trace.iterations == 1
+    assert trace.records[0].updated == ["e0", "e1", "e2", "e3"]

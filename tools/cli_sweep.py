@@ -9,9 +9,10 @@ code), `n.out` and `n.err` (stdout and stderr) and, when it was given
 `--trace`, `n.trace` if the op wrote one. Ops run with OUT_DIR as the working
 directory and name their files relative to it, so the outputs of two checkouts
 compare with `diff -r OUT_A OUT_B`. Before the ops, the sweep writes the class
-file MULTI_FEATURE into OUT_DIR, and `rotate` runs on it as well as on the
-bundled Nuer classes. The sweep ends with `report` on every non-empty JSON
-output of the ops before it.
+file MULTI_FEATURE and the flat paradigm FLAT_16 into OUT_DIR; `rotate` runs on
+the first as well as on the bundled Nuer classes, `select` and `train` on the
+second as well as on the bundled flat fixtures. The sweep ends with `report` on
+every non-empty JSON output of the ops before it.
 """
 from __future__ import annotations
 
@@ -54,6 +55,14 @@ MULTI_ROTATE_VARIANTS = (
     (("--runs", "3", "--margin-floor", "0.3", "--seed", "4", "--plans", "--format", "json"), True),
     (("--runs", "2", "--seed", "1", "--format", "tsv"), False),
 )
+# A flat paradigm with four features of four values (256 cells, 16 coordinates),
+# each cell realized by the exponent of its highest value index. At this shape
+# a product over all cells, a product per cell and an in-order sum of a cell's
+# coordinate rows all round differently, so a change in how activations are
+# computed shows in its train outputs.
+FLAT_16 = "flat_4x4x4x4.par"
+FLAT_16_OPS = ((["select", FLAT_16, "--format", "json"], False),
+               (["train", FLAT_16, "--format", "json"], True))
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"))
@@ -86,19 +95,34 @@ def ops() -> list[tuple[list[str], bool]]:
                  for variant, traced in MULTI_ROTATE_VARIANTS)
     sweep.extend(([command, "nuer_classes", "--min-lexemes", "0"], False)
                  for command in ("init", "rotate"))
+    sweep.extend(FLAT_16_OPS)
     return sweep
+
+
+def _feature_lines(shape: tuple[int, ...], morphemes: str) -> tuple[list, list[str]]:
+    """The value names of features with `shape` values, and the file's header lines."""
+    features = [[f"f{k}v{v}" for v in range(n)] for k, n in enumerate(shape)]
+    lines = [f"FEATURE f{k}: {' '.join(values)}" for k, values in enumerate(features)]
+    return features, lines + [f"MORPHEMES: {morphemes}"]
 
 
 def multi_feature_text() -> str:
     """The class file MULTI_FEATURE, from MULTI_SHAPE and MULTI_CLASSES."""
-    features = [[f"f{k}v{v}" for v in range(n)] for k, n in enumerate(MULTI_SHAPE)]
-    lines = [f"FEATURE f{k}: {' '.join(values)}" for k, values in enumerate(features)]
-    lines.append("MORPHEMES: a b c d")
+    features, lines = _feature_lines(MULTI_SHAPE, "a b c d")
     for label, (lexemes, cells) in MULTI_CLASSES.items():
         lines.append(f"CLASS {label} LEXEMES {lexemes}")
         lines += [f"CELL {' '.join(cell)} -> {m}"
                   for cell, m in zip(itertools.product(*features), cells, strict=True)]
         lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+def flat_16_text() -> str:
+    """The flat paradigm FLAT_16: a cell takes the exponent of its highest value index."""
+    features, lines = _feature_lines((4, 4, 4, 4), "a b c d")
+    lines += [f"CELL {' '.join(cell)} -> {'abcd'[max(index)]}"
+              for index, cell in zip(itertools.product(range(4), repeat=4),
+                                     itertools.product(*features))]
     return "\n".join(lines) + "\n"
 
 
@@ -128,6 +152,7 @@ def main(src_dir: str, out_dir: str) -> int:
     Path(out_dir).mkdir(parents=True)
     os.chdir(out_dir)
     Path(MULTI_FEATURE).write_text(multi_feature_text(), encoding="utf-8")
+    Path(FLAT_16).write_text(flat_16_text(), encoding="utf-8")
     sweep, saved = ops(), []
     for n, (argv, traced) in enumerate(sweep):
         if traced:
