@@ -30,7 +30,7 @@ class ExponentMatrix:
         norms = np.linalg.norm(self.matrix, axis=0)
         if (norms < UNIT_TOL).any():
             raise ZeroColumn("zero exponent column")
-        if (np.abs(norms - 1.0) > UNIT_TOL).any():
+        if not (np.abs(norms - 1.0) <= UNIT_TOL).all():  # NaN fails too
             raise ShapeMismatch("exponent columns must be unit length")
         _frozen(self.matrix)
 
@@ -97,8 +97,8 @@ class CountArray:
     matrix: np.ndarray  # NumFeaVal x NumMorph, >= 0
 
     def __post_init__(self):
-        if (self.matrix < 0).any():
-            raise ShapeMismatch("counts must be non-negative")
+        if not (np.isfinite(self.matrix) & (self.matrix >= 0)).all():
+            raise ShapeMismatch("counts must be finite and non-negative")
         _frozen(self.matrix)
 
 

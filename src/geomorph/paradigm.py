@@ -18,6 +18,7 @@ blocks), or a stem/affix composition section.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -265,7 +266,7 @@ class _Parser:
             if v in values or v in self.all_values() or v == name or v in self.feature_names():
                 raise DuplicateDeclaration(v, n)
             values.append(v)
-        if name in self.feature_names():
+        if name in self.feature_names() or name in self.all_values():
             raise DuplicateDeclaration(name, n)
         self.features.append((name, tuple(values)))
 
@@ -359,6 +360,8 @@ class _Parser:
             try:
                 angle = float(rest[2])
             except ValueError:
+                angle = math.nan
+            if not math.isfinite(angle):
                 self.fail(n, self.column(n, 2), "a real-number angle in radians")
         return label, angle
 

@@ -71,6 +71,20 @@ def test_normalize_rejects_zero_column():
         normalize_columns(counts)
 
 
+@pytest.mark.parametrize(
+    "kind, morphemes, matrix",
+    [
+        (ExponentMatrix, ("a", "b"), [[math.nan, 1.0], [0.0, 0.0]]),
+        (CountArray, ("a",), [[math.nan]]),
+        (CountArray, ("a", "b"), [[1.0, math.inf], [0.0, 2.0]]),
+    ],
+    ids=["exponents-nan", "counts-nan", "counts-inf"],
+)
+def test_non_finite_entries_are_rejected(kind, morphemes, matrix):
+    with pytest.raises(ShapeMismatch):
+        kind(morphemes, np.array(matrix))
+
+
 def test_initial_exponents_russian(russian):
     expo = initial_exponents(russian.corner_matrix(), russian.gold_table())
     null = expo.column("0")

@@ -39,6 +39,8 @@ CASES = [
      DuplicateDeclaration, 1, None, "duplicate declaration of 'case' (line 1)"),
     ('value named like earlier feature', 'FEATURE number: sg pl\nFEATURE case: number acc\n',
      DuplicateDeclaration, 2, None, "duplicate declaration of 'number' (line 2)"),
+    ('feature named like earlier value', 'FEATURE number: sg pl\nFEATURE sg: a b\n',
+     DuplicateDeclaration, 2, None, "duplicate declaration of 'sg' (line 2)"),
     ('feature declared twice', 'FEATURE number: sg pl\nFEATURE number: du tr\n',
      DuplicateDeclaration, 2, None, "duplicate declaration of 'number' (line 2)"),
     ('morphemes twice', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nMORPHEMES: 0\n',
@@ -107,6 +109,10 @@ CASES = [
      ParadigmSyntaxError, 3, 11, 'line 3, col 11: expected a real-number angle in radians'),
     ('affix angle not a number', 'FEATURE number: sg pl\nPLANE pl sg\nAFFIX y @ 1.0rad\n',
      ParadigmSyntaxError, 3, 11, 'line 3, col 11: expected a real-number angle in radians'),
+    ('stem angle nan', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x @ nan\n',
+     ParadigmSyntaxError, 3, 10, 'line 3, col 10: expected a real-number angle in radians'),
+    ('affix angle -inf', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x\nAFFIX y  @ -inf\n',
+     ParadigmSyntaxError, 4, 12, 'line 4, col 12: expected a real-number angle in radians'),
     ('stem named like a value', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM sg\n',
      DuplicateDeclaration, 3, None, "duplicate declaration of 'sg' (line 3)"),
     ('stem twice', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x\nSTEM x\n',

@@ -9,9 +9,10 @@ code), `n.out` and `n.err` (stdout and stderr) and, when it was given
 `--trace`, `n.trace` if the op wrote one. Ops run with OUT_DIR as the working
 directory and name their files relative to it, so the outputs of two checkouts
 compare with `diff -r OUT_A OUT_B`. Before the ops, the sweep writes the class
-file MULTI_FEATURE and the flat paradigm FLAT_16 into OUT_DIR; `rotate` runs on
-the first as well as on the bundled Nuer classes, `select` and `train` on the
-second as well as on the bundled flat fixtures. The sweep ends with `report` on
+file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
+into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
+`select` and `train` on the second as well as on the bundled flat fixtures,
+`compose` and `select` on each of the rest. The sweep ends with `report` on
 every non-empty JSON output of the ops before it.
 """
 from __future__ import annotations
@@ -63,6 +64,18 @@ MULTI_ROTATE_VARIANTS = (
 FLAT_16 = "flat_4x4x4x4.par"
 FLAT_16_OPS = ((["select", FLAT_16, "--format", "json"], False),
                (["train", FLAT_16, "--format", "json"], True))
+# Files the reader rejects: authored angles that are not finite (exit 1 with
+# a line and column) and a feature named like a value of an earlier feature.
+_COMPOSITION = "FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind{}\nSTEM Auto\n" \
+    "AFFIX 0\nAFFIX s{}\nFORM Kind sg -> 0\nFORM Kind pl -> 0\n" \
+    "FORM Auto sg -> 0\nFORM Auto pl -> s\n"
+BAD_INPUTS = {
+    "angle_nan.par": _COMPOSITION.format(" @ nan", ""),
+    "angle_inf.par": _COMPOSITION.format("", " @ inf"),
+    "feature_named_like_value.par":
+        "FEATURE number: sg pl\nFEATURE sg: a b\nMORPHEMES: 0 s\n"
+        "CELL sg a -> 0\nCELL sg b -> 0\nCELL pl a -> s\nCELL pl b -> s\n",
+}
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"))
@@ -96,6 +109,8 @@ def ops() -> list[tuple[list[str], bool]]:
     sweep.extend(([command, "nuer_classes", "--min-lexemes", "0"], False)
                  for command in ("init", "rotate"))
     sweep.extend(FLAT_16_OPS)
+    sweep.extend(([command, name, "--format", "json"], False)
+                 for name in BAD_INPUTS for command in ("compose", "select"))
     return sweep
 
 
@@ -153,6 +168,8 @@ def main(src_dir: str, out_dir: str) -> int:
     os.chdir(out_dir)
     Path(MULTI_FEATURE).write_text(multi_feature_text(), encoding="utf-8")
     Path(FLAT_16).write_text(flat_16_text(), encoding="utf-8")
+    for name, text in BAD_INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
     sweep, saved = ops(), []
     for n, (argv, traced) in enumerate(sweep):
         if traced:
