@@ -22,7 +22,6 @@ from .exponence import (
     SelectionTable,
     activations,
     count_features,
-    gold_margins,
     normalize_columns,
     select_winners,
 )
@@ -182,16 +181,27 @@ class RotationLearnResult:
     min_margin: float
 
 
-def _margins_ok(acts: np.ndarray, is_goal: np.ndarray, floor: float):
-    """Worst gold margin of each stacked cells x exponents matrix, and whether it clears `floor`.
+def _margin_positions(goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a raveled (lanes, cells, exponents) stack holds the (goal, rival) pairs of `goals`.
 
-    `acts` and `is_goal` have shape (..., cells, exponents); one matrix gives
-    a scalar pair, a (lanes, cells, exponents) stack one pair per lane.
+    Row l of each array is lane l's pairs, cell by cell; a goal repeats once per rival.
     """
-    m = acts.shape[-1]
-    margins = gold_margins(acts.reshape(-1, m), is_goal.reshape(-1, m))
-    worst = margins.reshape(acts.shape[:-1]).min(axis=-1, initial=math.inf)
-    return (worst > 0) & (worst >= floor), worst
+    at, lanes, rivals = np.arange(goals.size).reshape(goals.shape), len(goals), goals.shape[2] - 1
+    return np.repeat(at[goals], rivals).reshape(lanes, -1), at[~goals].reshape(lanes, -1)
+
+
+def _worst_margins(flat: np.ndarray, goal_at: np.ndarray, rival_at: np.ndarray) -> np.ndarray:
+    """Each lane's least goal-minus-rival difference in the raveled stack `flat` (inf if none).
+
+    Rounded g - r never rises with r, so on finite activations without -0.0
+    this is bit for bit the lane's least `gold_margins` value.
+    """
+    return (flat.take(goal_at) - flat.take(rival_at)).min(axis=1, initial=math.inf)
+
+
+def _convergence_test(floor: float):
+    """Whether worst margins are all positive and at or above `floor`, as one comparison."""
+    return (lambda worst: worst >= floor) if floor > 0 else (lambda worst: worst > 0)
 
 
 class RunRecord(NamedTuple):
@@ -248,53 +258,57 @@ def _learn_lanes(
     every live lane spends the same sub-iteration on the same cell, and the
     (lanes, dim, exponents) stack is rotated with array operations. One
     product `phi @ b` per sub-iteration serves both the margin check and the
-    next sub-iteration, which reads its cell's row of it. Per lane, the
+    next sub-iteration, which reads its cell's row of it. The check is the
+    least goal-minus-rival difference per lane at flat positions, then one
+    comparison chosen from the floor; the goal and rival columns of `b` are
+    read at flat positions too, all built once per lane drop. Per lane, the
     arithmetic and the random picks are exactly those of a run on its own:
-    the picks are `rng.choice` of the cell's coordinates, drawn for a block
-    of sub-iterations at once, and the gain, cos, sin and sign test are one
-    pass of `math` scalars per sub-iteration. Converged lanes leave the
-    stacks, so a sub-iteration costs what the live lanes need.
+    the picks are `rng.choice` of the cell's coordinates, drawn in blocks,
+    and the gain, cos, sin and sign test are one pass of `math` scalars per
+    sub-iteration. Converged lanes leave the stacks.
 
-    Returns one record per lane and the sub-iteration log `_plan` reads.
+    Returns one record per lane and the sub-iteration log `_plans` reads.
     """
     cells, (dim, morph) = phi.shape[0], base.shape
     per_cell = np.count_nonzero(phi, axis=1)
     if not per_cell.all() or (per_cell != per_cell[0]).any():
         raise ShapeMismatch("every cell needs the same, non-zero number of coordinates")
     coords = np.nonzero(phi)[1].reshape(cells, -1)  # each cell's coordinates, ascending
+    converged = _convergence_test(cfg.margin_floor)
     records: list[RunRecord | None] = [None] * len(rngs)
     live = np.arange(len(rngs))  # ids of the lanes still searching, ascending
     b = np.repeat(base[None], live.size, axis=0)
-    is_goal, goal_index = goals, goals.argmax(axis=2)
+    goal_index, (goal_at, rival_at) = goals.argmax(axis=2), _margin_positions(goals)
+    no_goal = np.where(goals, -np.inf, 0.0)  # added to activations, it hides the goals
     queue = np.empty((live.size, 0), dtype=np.uint32)  # per lane, drawn words not used yet
     towards = np.empty((0, live.size), dtype=coords.dtype)  # toward coordinates, (block, lanes)
     log = []  # one _stretch per run of sub-iterations with unchanged live lanes
     steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
     done = 0  # sub-iterations every live lane has taken
-    stack = phi @ b  # (lanes, cells, exponents): every live lane's activations
-    ok, worst = _margins_ok(stack, is_goal, cfg.margin_floor)
     while True:
-        # drop the lanes that just converged; the first pass builds the stacks
-        if steps is None or ok.any():
+        stack = phi @ b  # (lanes, cells, exponents): every live lane's activations
+        worst = _worst_margins(stack.reshape(-1), goal_at, rival_at)
+        ok = converged(worst)
+        # drop the lanes that just converged; the first pass builds the positions
+        if steps is None or np.count_nonzero(ok):
             if steps:
-                log.append(_stretch(live, steps, dim))
+                log.append(_stretch(live, steps))
             for lane, w in zip(live[ok].tolist(), worst[ok].tolist()):
                 records[lane] = RunRecord(True, -(-done // cells), w, done)
-            keep = ~ok
-            live, b, stack, is_goal, goal_index, worst, queue, towards = (
-                live[keep], b[keep], stack[keep], is_goal[keep], goal_index[keep], worst[keep],
-                queue[keep], towards[:, keep],
-            )
-            rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
+            kept = (~ok).nonzero()[0]
+            live, b, stack, worst, queue = (x.take(kept, axis=0)
+                                            for x in (live, b, stack, worst, queue))
+            towards, rngs = towards.take(kept, axis=1), [rngs[k] for k in kept.tolist()]
             steps = []
-            lanes = np.arange(live.size)
-            rows = b.reshape(-1, morph)  # lane l, axis d is row l * dim + d
-            first_row = lanes * dim
-            goal_of_cell = goal_index.T.tolist()
-            # where each lane's goal exponent sits in the rows (away, toward) that
-            # a sub-iteration moves, stacked into one flat array, per cell
-            goal_at = lanes * morph + goal_index.T
-            goal_moved = np.concatenate((goal_at, goal_at + live.size * morph), axis=1)
+            # kept lane k moves from position kept[k] of the stacks to position k
+            shift = (np.arange(live.size) - kept)[:, None] * (cells * morph)
+            goal_at, rival_at = (at.take(kept, axis=0) + shift for at in (goal_at, rival_at))
+            hide_goal, goal_of_cell = no_goal.take(live, axis=0), goal_index.take(live, axis=0).T
+            goal_list = goal_of_cell.tolist()
+            rows, flat_b = b.reshape(-1, morph), b.reshape(-1)  # lane l, axis d is row l * dim + d
+            first_row = np.arange(0, rows.shape[0], dim)
+            col_at = np.arange(0, b.size, morph).reshape(-1, dim)  # flat_b at (lane, axis, 0)
+            goal_col = col_at + goal_of_cell[:, :, None]  # per cell, each lane's goal column
         if not live.size or done == cfg.max_iters * cells:
             break
         t = done % _BLOCK
@@ -302,22 +316,24 @@ def _learn_lanes(
             block = min(_BLOCK, cfg.max_iters * cells - done)
             picks, queue = _choice_indices(rngs, queue, coords.shape[1], block)
             towards = coords[(done + np.arange(block))[:, None] % cells, picks]
-        i = done % cells
+        i, n = done % cells, live.size
         acts = stack[:, i]
         # masked argmaxes: equal values go to the lowest index, as plans expect
-        rival = np.where(is_goal[:, i], -np.inf, acts).argmax(axis=1)
+        rival = (acts + hide_goal[:, i]).argmax(axis=1)
         toward_rows = first_row + towards[t]
-        advantage = b[lanes, :, goal_index[:, i]] - b[lanes, :, rival]
+        goal_x = flat_b.take(goal_col[i])  # (lanes, dim): each lane's goal column
+        advantage = goal_x - flat_b.take(col_at + rival[:, None])
         advantage.put(toward_rows, -np.inf)
         away = advantage.argmax(axis=1)
-        # rows (away, toward, toward, away): the rows to rotate, then their partners
         away_rows = first_row + away
-        moved = np.concatenate((away_rows, toward_rows))
-        x = rows.take(np.concatenate((moved, toward_rows, away_rows)), axis=0)
+        # rows (away, toward, toward, away): the rows to rotate, then their partners
+        at = np.concatenate((away_rows, toward_rows, toward_rows, away_rows))
+        moved = at[: 2 * n]
+        x = rows.take(at, axis=0)
+        x_goal = goal_x.take(moved).tolist()  # the goal exponent's away, then toward coordinates
         cos, sin, signed = [], [], []
         for row, r, j, x_away, x_toward in zip(
-            acts.tolist(), rival.tolist(), goal_of_cell[i],
-            *x.take(goal_moved[i]).reshape(2, -1).tolist(),
+            acts.tolist(), rival.tolist(), goal_list[i], x_goal[:n], x_goal[n:]
         ):
             theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
             c, s = math.cos(theta), math.sin(theta)
@@ -330,37 +346,36 @@ def _learn_lanes(
             sin.append(s)
             signed.append(theta)
         # away rows become c * x_away - s * x_toward, toward rows c * x_toward + s * x_away
-        x *= np.array(cos + cos + [-v for v in sin] + sin)[:, None]
-        rows[moved] = x[: 2 * live.size] + x[2 * live.size :]
-        steps.append((away, towards[t], signed))
+        factors = np.array(cos + cos + [-v for v in sin] + sin + signed)
+        x *= factors[: 4 * n, None]
+        rows[moved] = x[: 2 * n] + x[2 * n :]
+        steps.append((away, towards[t], factors[4 * n :]))  # the signed angles ride along
         done += 1
-        stack = phi @ b
-        ok, worst = _margins_ok(stack, is_goal, cfg.margin_floor)
     if steps:
-        log.append(_stretch(live, steps, dim))
+        log.append(_stretch(live, steps))
     for lane, w in zip(live.tolist(), worst.tolist()):
         records[lane] = RunRecord(False, cfg.max_iters, w, done)
     return records, log
 
 
-def _stretch(live: np.ndarray, steps: list, dim: int) -> tuple:
+def _stretch(live: np.ndarray, steps: list) -> tuple:
     """Sub-iteration records of unchanged live lanes as (sub-iterations, lanes) arrays."""
-    away, toward, signed = zip(*steps)
-    axis = np.min_scalar_type(dim)
-    return live, np.array(away, dtype=axis), np.array(toward, dtype=axis), np.array(signed)
+    return live, *(np.concatenate(column).reshape(len(steps), -1) for column in zip(*steps))
 
 
-def _plan(log: list, lane: int, record: RunRecord, label: str) -> RotationPlan:
-    """Rebuild one lane's rotation plan from the sub-iteration log."""
-    columns = ([], [], [])
+def _plans(log: list, wanted: list[tuple[int, int, str]]) -> list[RotationPlan]:
+    """The rotation plans of the lanes in `wanted`, given as (lane, plan length, label)."""
+    lanes = np.array([lane for lane, _, _ in wanted], dtype=np.intp)
+    columns = [[np.empty((0, lanes.size), dtype=np.intp)] for _ in range(3)]
+    # a lane is live in every stretch until its plan ends, so the first rows
+    # of its column are its plan; the rows after it left are never read
     for live, *stretch in log:
-        n = record.rotations - len(columns[0])
-        if not n:
-            break
-        k = live.searchsorted(lane)
+        k = np.minimum(live.searchsorted(lanes), live.size - 1)
         for column, steps in zip(columns, stretch):
-            column += steps[:n, k].tolist()
-    return RotationPlan(label, *map(tuple, columns))
+            column.append(steps[:, k])
+    columns = [np.concatenate(column) for column in columns]
+    return [RotationPlan(label, *(tuple(c[:n, w].tolist()) for c in columns))
+            for w, (_, n, label) in enumerate(wanted)]
 
 
 def learn_class_rotation(
@@ -387,13 +402,15 @@ def learn_class_rotation(
 
     This is the one-lane case of the lockstep search `learn_all_classes` runs.
     """
+    if (base.morphemes != target.morphemes or target.row_labels != corners.row_labels
+            or base.matrix.shape[0] != corners.matrix.shape[1]):
+        raise ShapeMismatch("base, corners and target must agree on morphemes, cells and axes")
     target.require_one_hot()
     (record,), log = _learn_lanes(
         base.matrix, corners.matrix, (target.matrix == 1.0)[None], [seeded_random(cfg.seed)], cfg
     )
-    return RotationLearnResult(
-        _plan(log, 0, record, class_label), record.iterations, record.converged, record.min_margin
-    )
+    (plan,) = _plans(log, [(0, record.rotations, class_label)])
+    return RotationLearnResult(plan, record.iterations, record.converged, record.min_margin)
 
 
 @dataclass
@@ -434,32 +451,23 @@ def learn_all_classes(
     records, log = _learn_lanes(
         base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), rngs, cfg
     )
+    per_class = [records[ci * cfg.runs : (ci + 1) * cfg.runs] for ci in range(len(labels))]
+    firsts = [next((run for run, r in enumerate(runs) if r.converged), None) for runs in per_class]
+    plans = iter(_plans(log, [(ci * cfg.runs + run, per_class[ci][run].rotations, labels[ci])
+                              for ci, run in enumerate(firsts) if run is not None]))
     stats = []
-    for ci, label in enumerate(labels):
-        runs = records[ci * cfg.runs : (ci + 1) * cfg.runs]
-        done = [run for run, r in enumerate(runs) if r.converged]
-        iters = [runs[run].iterations for run in done]
-        margins = [runs[run].min_margin for run in done]
-        first_plan = (
-            _plan(log, ci * cfg.runs + done[0], runs[done[0]], label) if done else None
-        )
-        distance = (
-            inv.distance_between(label, base_label) if base_label is not None else -1
-        )
-        stats.append(
-            ClassRunStats(
-                label,
-                inv.lexeme_counts[label],
-                distance,
-                cfg.runs,
-                len(done),
-                float(np.mean(iters)) if iters else None,
-                float(np.mean(margins)) if margins else None,
-                float(np.min(margins)) if margins else None,
-                first_plan,
-                tuple(runs),
-            )
-        )
+    for label, runs in zip(labels, per_class):
+        done = [r for r in runs if r.converged]
+        iters, margins = [r.iterations for r in done], [r.min_margin for r in done]
+        stats.append(ClassRunStats(
+            label, inv.lexeme_counts[label],
+            inv.distance_between(label, base_label) if base_label is not None else -1,
+            cfg.runs, len(done),
+            float(np.mean(iters)) if iters else None,
+            float(np.mean(margins)) if margins else None,
+            float(np.min(margins)) if margins else None,
+            next(plans) if done else None, tuple(runs),
+        ))
     return stats, base_label
 
 

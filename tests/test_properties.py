@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import geomorph as g
 from geomorph.composition import _sum_angle, wrap_angle
 from geomorph.exponence import ActivationMatrix, gold_margins
-from geomorph.rotations import _margins_ok
+from geomorph.rotations import _convergence_test, _margin_positions, _worst_margins
 
 # ---------------------------------------------------------------- helpers
 
@@ -229,7 +229,30 @@ def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
     wins = (gold_margins(a, is_gold) > 0).tolist()
     assert wins == [w == j for w, j in zip(ref_winners, gold_index)]
     floor = rng.choice([-0.5, 0.0, 0.02, 0.5])
-    assert _margins_ok(a, is_gold, floor) == reference_gold_check(a, gold_index, floor)
+    worst = _worst_margins(a.ravel(), *_margin_positions(is_gold[None]))
+    ok = _convergence_test(floor)(worst)
+    assert (ok.item(), worst.item()) == reference_gold_check(a, gold_index, floor)
+
+
+# finite activations with exact ties and +0.0 entries; adding 0.0 turns -0.0 into +0.0
+ACTIVATION = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                       st.floats(-4.0, 4.0, allow_subnormal=True)).map(lambda v: v + 0.0)
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_worst_margin_at_flat_positions_is_the_least_gold_margin(data, lanes, cells, morph):
+    """Per lane, the least goal-minus-rival difference equals min(gold_margins), bit for bit."""
+    size = lanes * cells * morph
+    stack = np.array(data.draw(st.lists(ACTIVATION, min_size=size, max_size=size)))
+    stack = stack.reshape(lanes, cells, morph)
+    gold = data.draw(st.lists(st.integers(0, morph - 1), min_size=lanes * cells,
+                              max_size=lanes * cells))
+    goals = np.arange(morph) == np.array(gold).reshape(lanes, cells, 1)
+    worst = _worst_margins(stack.ravel(), *_margin_positions(goals))
+    margins = gold_margins(stack.reshape(-1, morph), goals.reshape(-1, morph))
+    want = margins.reshape(lanes, cells).min(axis=1, initial=math.inf)
+    assert worst.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- (f) gradient direction

@@ -203,12 +203,14 @@ def _assert_lanes_match(text, cfg):
 # (seed, runs, max_iters, margin_floor). Short searches leave lanes
 # unconverged; at max_iters 500 lanes converge and leave the batch at many
 # different sub-iterations; at floor 0.3 the first runs converge after 10-60
-# iterations. The sequential reference dominates the cost, so the long
+# iterations; at floors 0 and -0.1 a lane converges once every margin is
+# positive. The sequential reference dominates the cost, so the long
 # searches cover fewer seeds.
 GRID = (
     [(seed, runs, 1, 0.02) for seed in range(5) for runs in (1, 3)]
     + [(seed, runs, 7, 0.3) for seed in range(5) for runs in (1, 3)]
     + [(0, 1, 1, 0.3), (0, 3, 7, 0.02)]
+    + [(0, 3, 1, 0.0), (1, 3, 7, 0.0), (2, 1, 1, -0.1), (3, 3, 7, -0.1)]
     + [(seed, 1, 500, 0.02) for seed in range(5)]
     + [(3, 3, 500, 0.02), (1, 1, 60, 0.3)]
 )
@@ -231,7 +233,8 @@ def test_every_lane_matches_a_sequential_run(seed, runs, max_iters, floor):
 
 
 # (seed, runs, max_iters, margin_floor) for the files with three or more features
-MULTI_GRID = [(0, 3, 30, 0.02), (2, 3, 7, 0.02), (3, 1, 1, 0.02), (4, 3, 7, 0.3)]
+MULTI_GRID = [(0, 3, 30, 0.02), (2, 3, 7, 0.02), (3, 1, 1, 0.02), (4, 3, 7, 0.3),
+              (2, 3, 7, 0.0), (4, 3, 1, -0.1)]
 
 
 @pytest.mark.parametrize("name", MULTI_FEATURE)

@@ -21,6 +21,7 @@ from geomorph import (
     weighted_counts,
 )
 from geomorph.errors import BadAxis, EmptyFilter, ShapeMismatch
+from geomorph.exponence import SelectionTable
 from geomorph.features import CornerMatrix
 
 # weighted attestation counts computed from the class table, frequent classes only
@@ -276,3 +277,26 @@ def test_learner_needs_one_coordinate_count_for_every_cell(nuer):
     corners = CornerMatrix(inv.corners.fs, inv.corners.row_labels, bad)
     with pytest.raises(ShapeMismatch, match="same, non-zero number of coordinates"):
         learn_class_rotation(base, corners, inv.classes["I"])
+
+
+def _misfits(inv, base):
+    """A base or target that does not fit Nuer's corners and classes, by case."""
+    target = inv.classes["I"]
+    four_axes = base.matrix[:4] / np.linalg.norm(base.matrix[:4], axis=0)
+    return {
+        "two exponents": (ExponentMatrix(base.morphemes[:2], base.matrix[:, :2]), target),
+        "four axes": (ExponentMatrix(base.morphemes, four_axes), target),
+        "reversed exponents": (ExponentMatrix(base.morphemes[::-1], base.matrix[:, ::-1]), target),
+        "reversed cells": (base, SelectionTable(target.row_labels[::-1], target.morphemes,
+                                                target.matrix[::-1])),
+    }
+
+
+@pytest.mark.parametrize("case", ["two exponents", "four axes", "reversed exponents",
+                                  "reversed cells"])
+def test_learn_rotation_rejects_inputs_that_do_not_fit(nuer, case):
+    # each of these once failed deep in numpy, or ran against mislabeled columns
+    inv = nuer.class_inventory()
+    base, target = _misfits(inv, base_configuration(inv, 3))[case]
+    with pytest.raises(ShapeMismatch, match="must agree on morphemes, cells and axes"):
+        learn_class_rotation(base, inv.corners, target, RotationLearnConfig(max_iters=3))

@@ -34,6 +34,11 @@ ROTATE_VARIANTS = (
     ("--max-iters", "0", "--plans", "--format", "json"),
     ("--margin-floor", "0.3", "--runs", "3", "--seed", "2", "--plans", "--format", "json"),
     ("--runs", "2", "--seed", "7", "--format", "tsv"),
+    # floors at or below zero: a lane converges once every margin is positive
+    ("--margin-floor", "0", "--runs", "3", "--seed", "5", "--plans", "--format", "json"),
+    ("--margin-floor", "-0.1", "--runs", "2", "--seed", "3", "--plans", "--format", "json"),
+    # unconverged runs: their traces carry the worst margins of a search cut short
+    ("--max-iters", "2", "--runs", "3", "--seed", "1", "--format", "json"),
 )
 COMPOSE_VARIANTS = ((), *(("--seed", str(seed)) for seed in range(1, 7)),
                     ("--stepsize", "0.05", "--margin", "0"), ("--margin", "0.3"),
@@ -55,6 +60,8 @@ MULTI_ROTATE_VARIANTS = (
     (("--plans", "--format", "json"), False),
     (("--runs", "3", "--margin-floor", "0.3", "--seed", "4", "--plans", "--format", "json"), True),
     (("--runs", "2", "--seed", "1", "--format", "tsv"), False),
+    (("--margin-floor", "0", "--runs", "2", "--seed", "3", "--plans", "--format", "json"), True),
+    (("--margin-floor", "-0.1", "--runs", "2", "--seed", "5", "--format", "tsv"), True),
 )
 # A flat paradigm with four features of four values (256 cells, 16 coordinates),
 # each cell realized by the exponent of its highest value index. At this shape
