@@ -153,11 +153,12 @@ def gold_margins(acts: np.ndarray, gold: np.ndarray) -> np.ndarray:
 def gold_wins(acts: list[float], gold: int) -> bool:
     """Whether exponent `gold` wins one row of activations given as a list.
 
-    The scalar form of `gold_margins(row, mask) > 0` for a single row: the
-    same margin expression, and true without rivals.
+    The scalar form of `gold_margins(row, mask) > 0` for a single row without
+    NaN: gold is the strict maximum. A difference of distinct floats never
+    rounds to 0, so this is the margin test; 0.0 and -0.0 tie, as do two infs.
     """
-    rivals = acts[:gold] + acts[gold + 1:]
-    return not rivals or acts[gold] - max(rivals) > 0
+    top = max(acts)
+    return acts[gold] == top and acts.count(top) == 1
 
 
 def decide(acts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -64,6 +64,12 @@ def delta_step(
 ) -> tuple[ExponentMatrix, tuple[str, ...]]:
     """One pass over all cells; returns the updated matrix and moved columns.
 
+    Corners must be 0/1 with a 1 in every row, as `build_corner_matrix` makes
+    them. Then `b += cols[i] * (eta * d)`, d = target - acts, adds the floats
+    of `eta * (corner[:, None] * d)` with one multiply per exponent: on a 1 row
+    `eta * (1 * d) == 1 * (eta * d)`, on a 0 row both add a zero with the sign
+    of d (eta > 0), and both overflow at the same inputs.
+
     Raises ZeroColumn if an update annihilates a column (renormalization
     would be undefined), and UpdateOverflow if an update or its norm
     overflows, which only a huge eta (about 1e154 and up) can cause.
@@ -72,28 +78,30 @@ def delta_step(
     b = np.array(expo.matrix)
     if cfg.eta == 0.0:
         return ExponentMatrix(expo.morphemes, b), ()
+    eta, cols = cfg.eta, corners.matrix[:, :, None]
+    squares, norms = np.empty_like(b), np.empty(b.shape[1])
     moved = [False] * b.shape[1]
     try:
         with np.errstate(over="raise"):
             stack = corners.matrix @ b  # the activations; recomputed after each update
             for i, g in enumerate(gold.matrix.argmax(axis=1).tolist()):
-                corner = corners.matrix[i]
                 acts = stack[i]
                 a = acts.tolist()
                 if cfg.error_driven and gold_wins(a, g):
                     continue
-                # exactly the arithmetic of np.outer(corner, d) and of
-                # np.linalg.norm(b, axis=0) on real input, minus their call overhead;
-                # any other form of it (a gemm, a row sum) changes the last bit
-                b += cfg.eta * (corner[:, None] * (gold.matrix[i] - acts))
-                norms = np.sqrt(np.add.reduce(b * b, axis=0))
-                if norms.min() < 1e-12:
+                b += cols[i] * (eta * (gold.matrix[i] - acts))
+                # np.linalg.norm(b, axis=0) on real input minus its call overhead;
+                # any other order of the sum (a gemm, a row sum) changes the last bit
+                np.add.reduce(np.multiply(b, b, out=squares), axis=0, out=norms)
+                np.sqrt(norms, out=norms)
+                if np.minimum.reduce(norms) < 1e-12:
                     raise ZeroColumn("update drove an exponent column to zero")
                 b /= norms
                 stack = corners.matrix @ b
-                for j, x in enumerate(a):  # column j moves unless target - x == 0
-                    if x != (1.0 if j == g else 0.0):
-                        moved[j] = True
+                if not all(moved):
+                    for j, x in enumerate(a):  # column j moves unless target - x == 0
+                        if x != (1.0 if j == g else 0.0):
+                            moved[j] = True
     except FloatingPointError:
         raise UpdateOverflow(
             f"eta {cfg.eta!r} overflows the delta-rule update; use a smaller eta"

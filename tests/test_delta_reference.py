@@ -78,9 +78,9 @@ def assert_same_as_reference(expo, corners, gold, cfg):
 def delta_cases(draw):
     """A small flat paradigm, a unit exponent configuration and a config.
 
-    Integer-valued columns plant exact activation ties, and a column set to
-    a cell's normalized corner together with eta = 1 / features drives that
-    column to zero when the cell pulls it away.
+    Integer-valued columns of either sign plant exact activation ties, and a
+    column set to a cell's normalized corner together with eta = 1 / features
+    drives that column to zero when the cell pulls it away.
     """
     sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
     feats = [[f"f{i}v{k}" for k in range(n)] for i, n in enumerate(sizes)]
@@ -94,7 +94,7 @@ def delta_cases(draw):
     corners, gold = pf.corner_matrix(), pf.gold_table()
     width = corners.matrix.shape[1]
     start = np.array(
-        draw(st.lists(st.lists(st.integers(0, 3), min_size=len(morphs), max_size=len(morphs)),
+        draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(morphs), max_size=len(morphs)),
                       min_size=width, max_size=width)),
         dtype=float,
     )
@@ -144,3 +144,18 @@ def test_zero_column_matches_reference():
     with pytest.raises(ZeroColumn):
         reference_delta_step(expo, corners, gold, cfg)
     assert_same_as_reference(expo, corners, gold, cfg)
+
+
+def test_negative_zeros_off_the_corner_match_reference():
+    pf = parse_text("FEATURE number: sg pl\nFEATURE case: nom acc\nMORPHEMES: a b\n"
+                    "CELL sg nom -> a\n")
+    corners, gold = pf.corner_matrix(), pf.gold_table()
+    # rows sg, pl, nom, acc; b wins the sg nom cell, whose update leaves pl and acc
+    # alone but adds a zero there with the sign of each column's error: +0.0 turns
+    # a's -0.0 at pl into +0.0, and -0.0 keeps b's
+    expo = ExponentMatrix(("a", "b"), np.array([[0.6, 0.8], [-0.0, -0.0],
+                                                [0.0, -0.0], [-0.8, 0.6]]))
+    cfg = TrainConfig(eta=0.1)
+    assert_same_as_reference(expo, corners, gold, cfg)
+    stepped = delta_step(expo, corners, gold, cfg)[0].matrix
+    assert np.copysign(1.0, stepped[1]).tolist() == [1.0, -1.0]

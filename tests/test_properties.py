@@ -3,12 +3,13 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geomorph as g
 from geomorph.composition import _sum_angle, wrap_angle
-from geomorph.exponence import ActivationMatrix, gold_margins
+from geomorph.exponence import ActivationMatrix, gold_margins, gold_wins
 from geomorph.rotations import _convergence_test, _margin_positions, _worst_margins
 
 # ---------------------------------------------------------------- helpers
@@ -187,12 +188,17 @@ def reference_decision(a):
     return winners, margins
 
 
+def reference_gold_margin(row, j):
+    """Gold minus best rival in one row given as a list; inf without rivals."""
+    rivals = row[:j] + row[j + 1:]
+    return row[j] - max(rivals) if rivals else math.inf
+
+
 def reference_gold_check(a, gold_index, floor):
     """Per-row loop: gold minus best rival; all must win and the worst reach floor."""
     worst, ok = math.inf, True
     for row, j in zip(a.tolist(), gold_index):
-        rivals = row[:j] + row[j + 1:]
-        margin = row[j] - max(rivals) if rivals else math.inf
+        margin = reference_gold_margin(row, j)
         worst = min(worst, margin)
         ok = ok and margin > 0
     return ok and worst >= floor, worst
@@ -228,10 +234,30 @@ def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
     is_gold = gold.matrix == 1.0
     wins = (gold_margins(a, is_gold) > 0).tolist()
     assert wins == [w == j for w, j in zip(ref_winners, gold_index)]
+    rows = list(zip(a.tolist(), gold_index))
+    assert [gold_wins(row, j) for row, j in rows] == [
+        reference_gold_margin(row, j) > 0 for row, j in rows]
     floor = rng.choice([-0.5, 0.0, 0.02, 0.5])
     worst = _worst_margins(a.ravel(), *_margin_positions(is_gold[None]))
     ok = _convergence_test(floor)(worst)
     assert (ok.item(), worst.item()) == reference_gold_check(a, gold_index, floor)
+
+
+@pytest.mark.parametrize("row, wins", [
+    ([0.0, -0.0], [False, False]),  # signed zeros tie
+    ([-0.0, 0.0], [False, False]),
+    ([math.inf, math.inf], [False, False]),
+    ([math.inf, 1.0], [True, False]),
+    ([5e-324, 0.0], [True, False]),  # the least subnormal still wins
+    ([-2.5], [True]),  # no rivals
+])
+def test_gold_wins_is_the_margin_test_on_edge_rows(row, wins):
+    """`gold_wins` against the per-row oracle and `gold_margins`, for each gold index."""
+    assert [gold_wins(row, j) for j in range(len(row))] == wins
+    assert [reference_gold_margin(row, j) > 0 for j in range(len(row))] == wins
+    with np.errstate(invalid="ignore"):  # inf - inf
+        margins = gold_margins(np.array([row] * len(row)), np.eye(len(row), dtype=bool))
+    assert (margins > 0).tolist() == wins
 
 
 # finite activations with exact ties and +0.0 entries; adding 0.0 turns -0.0 into +0.0

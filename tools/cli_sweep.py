@@ -71,6 +71,9 @@ MULTI_ROTATE_VARIANTS = (
 FLAT_16 = "flat_4x4x4x4.par"
 FLAT_16_OPS = ((["select", FLAT_16, "--format", "json"], False),
                (["train", FLAT_16, "--format", "json"], True))
+# A large step on the 16-coordinate paradigm and on a fixture: updates move
+# columns far, so a change in how the delta update rounds shows in the traces.
+LARGE_STEP = ("--eta", "2.5", "--max-iters", "5")
 # Files the reader rejects: authored angles that are not finite (exit 1 with
 # a line and column) and a feature named like a value of an earlier feature.
 _COMPOSITION = "FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind{}\nSTEM Auto\n" \
@@ -116,6 +119,8 @@ def ops() -> list[tuple[list[str], bool]]:
     sweep.extend(([command, "nuer_classes", "--min-lexemes", "0"], False)
                  for command in ("init", "rotate"))
     sweep.extend(FLAT_16_OPS)
+    sweep.extend((["train", name, *LARGE_STEP, "--format", "json"], True)
+                 for name in (FLAT_16, "latin_adjectives"))
     sweep.extend(([command, name, "--format", "json"], False)
                  for name in BAD_INPUTS for command in ("compose", "select"))
     return sweep

@@ -34,11 +34,16 @@ SEED_STRIDE = 100_000  # as perfbench's op seeds
 SHAPES = (("nuer_rotate", dict(runs=1, max_iters=50)), ("runs_100", dict(runs=100)))
 
 
-def load_side(src: str, name: str, into: Path):
-    """Import the `geomorph` package under `src` as `name`; its inventory and learner."""
+def load_package(src: str, name: str, into: Path):
+    """Import the `geomorph` package under `src` as `name`, copied into `into` (on sys.path)."""
     shutil.copytree(Path(src) / "geomorph", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    pkg = importlib.import_module(name)
+    return importlib.import_module(name)
+
+
+def load_side(src: str, name: str, into: Path):
+    """Import the `geomorph` package under `src` as `name`; its inventory and learner."""
+    pkg = load_package(src, name, into)
     rotations = importlib.import_module(f"{name}.rotations")
     inv = pkg.fixtures.load("nuer_classes").class_inventory()
     return inv, rotations
