@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands wrap one pipeline each: `init` emits exponent vectors from
-count initialization, `select` runs the activation/selection pipeline
-against the gold table, `train` runs delta-rule training, `compose` runs
-pair selection or angle learning, `rotate` derives inflection classes by
-rotation, and `report` re-renders a saved JSON report as TSV.
+`init` emits exponent vectors from count initialization, `select` runs the
+activation/selection pipeline against the gold table, `train` runs
+delta-rule training, `compose` runs pair selection or angle learning,
+`rotate` derives inflection classes by rotation, and `report` re-renders a
+saved JSON report as TSV. Every command but `report` is only its computation;
+`run_command` does the rest of its pipeline.
 
 Exit codes: 0 success (and convergence where that applies), 1 bad input,
 2 not converged, 3 a tie while evaluating against gold.
@@ -71,40 +72,56 @@ def seed_from(args) -> int:
         raise GeomorphError(f"GEOMORPH_SEED must be an integer, got {env!r}")
 
 
-def _single_pipeline(pf: ParadigmFile):
-    if pf.kind() != "single":
-        raise GeomorphError(
-            "this command needs a flat cell table (try rotate for class files, "
-            "compose for stem/affix files)"
-        )
-    corners = pf.corner_matrix()
-    return corners, pf.gold_table(corners=corners)
+_NEEDS_TABLE = ("this command needs a flat cell table (try rotate for class files, "
+                "compose for stem/affix files)")
+# Per command: the paradigm kinds it takes, and the error for a file of any other kind
+KINDS = {
+    "init": (("classes", "single"), "init needs a cell table or class blocks"),
+    "select": (("single",), _NEEDS_TABLE),
+    "train": (("single",), _NEEDS_TABLE),
+    "compose": (("composition",), "compose needs a composition section (STEM/AFFIX/FORM)"),
+    "rotate": (("classes",), "rotate needs CLASS blocks"),
+}
+# Options that only route output; a report's config echoes every other option
+ROUTING = frozenset(("command", "func", "format", "out", "trace", "plans"))
 
 
-def cmd_init(args) -> int:
+def run_command(args) -> int:
+    """Load and kind-check the paradigm, run the command, write its trace and report.
+
+    The command, `args.func(args, pf, config)`, returns its report sections,
+    its exit code and its trace records (None when it writes no trace).
+    """
     pf = load_paradigm(args.paradigm)
+    kinds, wrong_kind = KINDS[args.command]
+    if pf.kind() not in kinds:
+        raise GeomorphError(wrong_kind)
+    config = {key: value for key, value in vars(args).items() if key not in ROUTING}
+    if "seed" in config:
+        config["seed"] = seed_from(args)
+    sections, code, records = args.func(args, pf, config)
+    if records is not None and args.trace:
+        write(args.trace, "".join(map(rpt.dumps_line, records)))
+    emit(args, rpt.build_report(args.command, config, **sections))
+    return code
+
+
+def cmd_init(args, pf, config):
     if args.min_lexemes < 1:  # a cell table does not read it, but its report echoes it
         raise ValueError(f"min_lexemes must be at least 1, got {args.min_lexemes}")
-    kind = pf.kind()
-    if kind == "classes":
+    sections = {}
+    if pf.kind() == "classes":
         inv = pf.class_inventory()
         corners = inv.corners
         expo = base_configuration(inv, args.min_lexemes)
-        extra = {"base_class": class_of_base(expo, inv)}
-    elif kind == "single":
-        corners, gold = _single_pipeline(pf)
-        expo = initial_exponents(corners, gold)
-        extra = {}
+        sections["base_class"] = class_of_base(expo, inv)
     else:
-        raise GeomorphError("init needs a cell table or class blocks")
-    report = rpt.build_report(
-        "init",
-        {"paradigm": args.paradigm, "min_lexemes": args.min_lexemes},
-        exponents=rpt.labeled_matrix(corners.fs.value_names, expo.morphemes, expo.matrix),
-        **extra,
+        corners = pf.corner_matrix()
+        expo = initial_exponents(corners, pf.gold_table(corners=corners))
+    sections["exponents"] = rpt.labeled_matrix(
+        corners.fs.value_names, expo.morphemes, expo.matrix
     )
-    emit(args, report)
-    return EXIT_OK
+    return sections, EXIT_OK, None
 
 
 def _evaluated(corners, gold, expo):
@@ -121,15 +138,11 @@ def _evaluated(corners, gold, expo):
     return ev, sections
 
 
-def cmd_select(args) -> int:
-    pf = load_paradigm(args.paradigm)
-    corners, gold = _single_pipeline(pf)
-    expo = initial_exponents(corners, gold)
-    ev, sections = _evaluated(corners, gold, expo)
-    report = rpt.build_report(
-        "select",
-        {"paradigm": args.paradigm},
-        **sections,
+def cmd_select(args, pf, config):
+    corners = pf.corner_matrix()
+    gold = pf.gold_table(corners=corners)
+    ev, sections = _evaluated(corners, gold, initial_exponents(corners, gold))
+    sections.update(
         gold=list(ev.gold),
         margins=list(ev.margins),
         min_margin=ev.min_margin,
@@ -138,71 +151,43 @@ def cmd_select(args) -> int:
         correct=ev.num_correct,
         cells=len(ev.row_labels),
     )
-    emit(args, report)
-    return EXIT_TIE if ev.ties else EXIT_OK
+    return sections, EXIT_TIE if ev.ties else EXIT_OK, None
 
 
-def cmd_train(args) -> int:
-    pf = load_paradigm(args.paradigm)
-    corners, gold = _single_pipeline(pf)
+def cmd_train(args, pf, config):
+    corners = pf.corner_matrix()
+    gold = pf.gold_table(corners=corners)
     expo = initial_exponents(corners, gold)
     cfg = TrainConfig(
         eta=args.eta, error_driven=args.error_driven, max_iters=args.max_iters
     )
     trained, trace = train(expo, corners, gold, cfg)
     records = [r._asdict() for r in trace.records]
-    if args.trace:
-        write(args.trace, "".join(map(rpt.dumps_line, records)))
     ev, sections = _evaluated(corners, gold, trained)
-    report = rpt.build_report(
-        "train",
-        {
-            "paradigm": args.paradigm,
-            "eta": args.eta,
-            "error_driven": args.error_driven,
-            "max_iters": args.max_iters,
-        },
-        **sections,
+    sections.update(
         mismatches=list(ev.mismatch_labels()),
         min_margin=ev.min_margin,
         converged=trace.converged,
         iterations=trace.iterations,
         trace=records,
     )
-    emit(args, report)
-    if ev.ties:
-        return EXIT_TIE
-    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+    code = EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
+    return sections, EXIT_TIE if ev.ties else code, records
 
 
-def cmd_compose(args) -> int:
-    pf = load_paradigm(args.paradigm)
-    if pf.kind() != "composition":
-        raise GeomorphError("compose needs a composition section (STEM/AFFIX/FORM)")
+def cmd_compose(args, pf, config):
     gold_forms = pf.gold_forms()
     model = pf.angle_model()
-    seed = seed_from(args)
-    config = {
-        "paradigm": args.paradigm,
-        "stepsize": args.stepsize,
-        "margin": args.margin,
-        "max_iters": args.max_iters,
-        "seed": seed,
-    }
+    cfg = AngleLearnConfig(
+        stepsize=args.stepsize, margin=args.margin, max_iters=args.max_iters, seed=config["seed"]
+    )
+    converged, iterations = True, 0  # authored angles: nothing to learn
     if model is None:
-        cfg = AngleLearnConfig(
-            stepsize=args.stepsize, margin=args.margin, max_iters=args.max_iters, seed=seed
-        )
         result = learn_angles(
             pf.stem_labels(), pf.affix_labels(), gold_forms, pf.plane, cfg,
             initial=pf.authored_angles(),
         )
-        model = result.model
-        converged = result.converged
-        iterations = result.iterations
-    else:
-        converged = True
-        iterations = 0
+        model, converged, iterations = result.model, result.converged, result.iterations
     selections = []
     failures = verify_gold_forms(model, pf.stem_labels(), pf.affix_labels(), gold_forms)
     for (stem, value), affix in sorted(gold_forms.items()):
@@ -220,42 +205,33 @@ def cmd_compose(args) -> int:
         }
         for label in list(pf.stem_labels()) + list(pf.affix_labels())
     ]
-    report = rpt.build_report(
-        "compose",
-        config,
-        plane={"x": pf.plane[0], "y": pf.plane[1]},
-        angles=angles,
-        selections=selections,
-        failures=len(failures),
-        converged=converged,
-        iterations=iterations,
-    )
-    emit(args, report)
-    return EXIT_OK if converged and not failures else EXIT_NOT_CONVERGED
+    sections = {
+        "plane": {"x": pf.plane[0], "y": pf.plane[1]},
+        "angles": angles,
+        "selections": selections,
+        "failures": len(failures),
+        "converged": converged,
+        "iterations": iterations,
+    }
+    return sections, EXIT_OK if converged and not failures else EXIT_NOT_CONVERGED, None
 
 
-def cmd_rotate(args) -> int:
-    pf = load_paradigm(args.paradigm)
-    if pf.kind() != "classes":
-        raise GeomorphError("rotate needs CLASS blocks")
+def cmd_rotate(args, pf, config):
     inv = pf.class_inventory()
-    seed = seed_from(args)
     cfg = RotationLearnConfig(
         base_increment=args.increment,
         margin_floor=args.margin_floor,
         max_iters=args.max_iters,
         runs=args.runs,
-        seed=seed,
+        seed=config["seed"],
     )
     stats, base_label = learn_all_classes(inv, cfg, args.min_lexemes)
-    if args.trace:
-        records = (
-            {"class": s.class_label, "run": run, "seed": run_seed(cfg, ci, run),
-             **record._asdict()}
-            for ci, s in enumerate(stats)
-            for run, record in enumerate(s.run_records)
-        )
-        write(args.trace, "".join(map(rpt.dumps_line, records)))
+    records = (
+        {"class": s.class_label, "run": run, "seed": run_seed(cfg, ci, run),
+         **record._asdict()}
+        for ci, s in enumerate(stats)
+        for run, record in enumerate(s.run_records)
+    )
     rows = [
         {
             "class": s.class_label,
@@ -269,7 +245,7 @@ def cmd_rotate(args) -> int:
         }
         for s in stats
     ]
-    sections = {}
+    sections = {"base_class": base_label, "classes": rows}
     if args.plans:
         sections["plans"] = [
             {
@@ -279,24 +255,8 @@ def cmd_rotate(args) -> int:
             }
             for s in stats
         ]
-    report = rpt.build_report(
-        "rotate",
-        {
-            "paradigm": args.paradigm,
-            "increment": args.increment,
-            "margin_floor": args.margin_floor,
-            "max_iters": args.max_iters,
-            "runs": args.runs,
-            "seed": seed,
-            "min_lexemes": args.min_lexemes,
-        },
-        base_class=base_label,
-        classes=rows,
-        **sections,
-    )
-    emit(args, report)
     all_reached = all(s.converged_runs > 0 for s in stats)
-    return EXIT_OK if all_reached else EXIT_NOT_CONVERGED
+    return sections, EXIT_OK if all_reached else EXIT_NOT_CONVERGED, records
 
 
 def cmd_report(args) -> int:
@@ -372,10 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) if args.func is cmd_report else run_command(args)
     except (GeomorphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

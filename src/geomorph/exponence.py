@@ -50,7 +50,7 @@ class SelectionTable:
         m = self.matrix
         if m.shape != (len(self.row_labels), len(self.morphemes)):
             raise ShapeMismatch("selection table shape does not match labels")
-        if not np.isin(m, (0.0, 1.0)).all() or (m.sum(axis=1) > 1).any():
+        if not ((m == 0.0) | (m == 1.0)).all() or (m.sum(axis=1) > 1).any():
             raise ShapeMismatch("rows must be one-hot or all zero")
         _frozen(m)
 

@@ -248,11 +248,15 @@ class _Parser:
         if len(pf.sections()) != 1:
             self.fail(len(self.lines) + 1, 1,
                       "exactly one of: a cell table, class blocks, or a composition section")
+        if pf.plane is None and pf.kind() == "composition":
+            self.fail(len(self.lines) + 1, 1, "a PLANE line in the composition section")
         return pf
 
     # ---- one handler per directive; `rest` holds the tokens after it ----
 
     def line_feature(self, n, head, rest):
+        if self.cells or self.classes:
+            self.fail(n, self.column(n, -1), "FEATURE lines before the first CELL")
         if len(rest) < 3:
             self.fail(n, len(self.lines[n - 1]) + 1, "FEATURE <name>: <v1> <v2> ...")
         name = rest[0]

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -265,10 +266,15 @@ def test_class_commands_reject_min_lexemes_below_one(capsys, command, paradigm, 
     assert err == f"error: min_lexemes must be at least 1, got {value}\n"
 
 
+# authored angles (spanish_verbs) learn nothing, but the report echoes the options
+AUTHORED_AND_LEARNED = ("german_plurals", "spanish_verbs")
+
+
 def test_compose_rejects_negative_max_iters(capsys):
-    code, out, err = run(capsys, "compose", "german_plurals", "--max-iters", "-3")
-    assert code == 1 and out == ""
-    assert "max_iters" in err
+    for paradigm in AUTHORED_AND_LEARNED:
+        code, out, err = run(capsys, "compose", paradigm, "--max-iters", "-3")
+        assert code == 1 and out == ""
+        assert "max_iters" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -301,9 +307,10 @@ def test_rotate_rejects_non_finite_parameters(capsys, option, name, value):
 @pytest.mark.parametrize("option,name", [("--stepsize", "stepsize"), ("--margin", "margin")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_compose_rejects_non_finite_parameters(capsys, option, name, value):
-    code, out, err = run(capsys, "compose", "german_plurals", option, value)
-    assert code == 1 and out == ""
-    assert name in err
+    for paradigm in AUTHORED_AND_LEARNED:
+        code, out, err = run(capsys, "compose", paradigm, option, value)
+        assert code == 1 and out == ""
+        assert name in err
 
 
 FLAT_FIXTURES = ["english_weak_verb", "german_present", "german_full",
@@ -446,6 +453,28 @@ def test_seed_flag_does_not_carry_over(capsys, monkeypatch):
     monkeypatch.setenv("GEOMORPH_SEED", "5")
     code, out, _ = run(capsys, "compose", "german_plurals", "--format", "json")
     assert json.loads(out)["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["init", "nuer_classes"],
+    ["select", "english_weak_verb"],
+    ["train", "english_weak_verb"],
+    ["compose", "german_plurals"],
+    ["rotate", "nuer_classes", "--runs", "1", "--max-iters", "5"],
+], ids=lambda argv: argv[0])
+def test_report_config_echoes_every_option_but_the_routing_ones(argv, capsys, monkeypatch):
+    monkeypatch.setenv("GEOMORPH_SEED", "5")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in commands.choices[argv[0]]._actions}
+    echoed = dests - {"help", "format", "out", "trace", "plans"}
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    args = parser.parse_args(argv)
+    expected = {dest: getattr(args, dest) for dest in echoed}
+    if "seed" in expected:
+        assert args.seed is None
+        expected["seed"] = 5  # the resolved seed, not the parsed None
+    assert json.loads(out)["config"] == expected
 
 
 def test_each_call_parses_into_a_fresh_namespace(capsys, monkeypatch):

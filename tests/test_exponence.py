@@ -15,6 +15,7 @@ from geomorph import (
     selection_from_winners,
 )
 from geomorph.errors import ShapeMismatch, ZeroColumn
+from geomorph.exponence import SelectionTable
 
 # attestation counts for the English weak verb, by feature value
 ENGLISH_COUNTS = {
@@ -198,3 +199,16 @@ def test_evaluate_shape_mismatch(english, russian):
     acts = activations(english.corner_matrix(), initial_exponents(english.corner_matrix(), english.gold_table()))
     with pytest.raises(ShapeMismatch):
         evaluate(acts, russian.gold_table())
+
+
+@pytest.mark.parametrize("entry,ok", [(1.0, True), (0.0, True), (-0.0, True), (0.5, False),
+                                      (2.0, False), (math.nan, False), (math.inf, False)])
+def test_selection_table_takes_only_zero_and_one(english, entry, ok):
+    gold = english.gold_table()
+    matrix = np.zeros(gold.matrix.shape)
+    matrix[0, 0] = entry
+    if ok:
+        SelectionTable(gold.row_labels, gold.morphemes, matrix)
+    else:
+        with pytest.raises(ShapeMismatch, match="one-hot or all zero"):
+            SelectionTable(gold.row_labels, gold.morphemes, matrix)

@@ -25,6 +25,10 @@ CASES = [
      ParadigmSyntaxError, 3, 1, 'line 3, col 1: expected exactly one of: a cell table, class blocks, or a composition section'),
     ('two sections', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCELL sg -> 0\nSTEM x\n',
      ParadigmSyntaxError, 5, 1, 'line 5, col 1: expected exactly one of: a cell table, class blocks, or a composition section'),
+    ('feature after cell', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCELL sg -> 0\n  FEATURE case: nom acc\n',
+     ParadigmSyntaxError, 4, 3, 'line 4, col 3: expected FEATURE lines before the first CELL'),
+    ('feature after class', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCLASS A LEXEMES 1\nCELL sg -> 0\nEND\nFEATURE case: nom acc\n',
+     ParadigmSyntaxError, 6, 1, 'line 6, col 1: expected FEATURE lines before the first CELL'),
     ('feature too short', 'FEATURE number: sg\n',
      ParadigmSyntaxError, 1, 19, 'line 1, col 19: expected FEATURE <name>: <v1> <v2> ...'),
     ('feature without colon', 'FEATURE number sg pl\n',
@@ -91,6 +95,8 @@ CASES = [
      ParadigmSyntaxError, 5, 6, 'line 5, col 6: expected nothing after END'),
     ('empty class', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCLASS A LEXEMES 1\nEND\n',
      ParadigmSyntaxError, 4, 1, 'line 4, col 1: expected at least one CELL line in the CLASS block'),
+    ('composition without plane', 'FEATURE number: sg pl\nSTEM x\nAFFIX y\nFORM x sg -> y\n',
+     ParadigmSyntaxError, 5, 1, 'line 5, col 1: expected a PLANE line in the composition section'),
     ('plane twice', 'FEATURE number: sg pl\nPLANE pl sg\nPLANE sg pl\n',
      DuplicateDeclaration, 3, None, "duplicate declaration of 'PLANE' (line 3)"),
     ('plane one value', 'FEATURE number: sg pl\nPLANE sg\n',

@@ -12,8 +12,9 @@ compare with `diff -r OUT_A OUT_B`. Before the ops, the sweep writes the class
 file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
 into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
 `select` and `train` on the second as well as on the bundled flat fixtures,
-`compose` and `select` on each of the rest. The sweep ends with `report` on
-every non-empty JSON output of the ops before it.
+`compose` and `select` on each of the rest. The OUT_OPS write their reports
+to files in OUT_DIR, which `diff -r` compares too. The sweep ends with
+`report` on every non-empty JSON output of the ops before it.
 """
 from __future__ import annotations
 
@@ -85,10 +86,26 @@ BAD_INPUTS = {
     "feature_named_like_value.par":
         "FEATURE number: sg pl\nFEATURE sg: a b\nMORPHEMES: 0 s\n"
         "CELL sg a -> 0\nCELL sg b -> 0\nCELL pl a -> s\nCELL pl b -> s\n",
+    # a composition section without a PLANE line, and a FEATURE line after a CELL
+    "composition_without_plane.par": _COMPOSITION.replace("PLANE pl sg\n", "").format("", ""),
+    "feature_after_cell.par":
+        "FEATURE number: sg pl\nMORPHEMES: 0 s\nCELL sg -> 0\nCELL pl -> s\n"
+        "FEATURE case: nom acc\n",
 }
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
-              ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"))
+              ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"),
+              # a wrong kind and a bad option at once
+              ("init", "german_plurals", "--min-lexemes", "0"))
+# Bad values of options that a file with authored angles does not read but echoes
+AUTHORED_BAD_OPTIONS = (("--stepsize", "nan"), ("--margin", "inf"), ("--max-iters", "-1"))
+# Reports and a trace written to files named in the op: the sweep keeps them in OUT_DIR
+OUT_OPS = (
+    (["select", "english_weak_verb", "--format", "json", "--out", "select.json"], False),
+    (["report", "select.json", "--out", "select.tsv"], False),
+    (["init", "nuer_classes", "--format", "tsv", "--out", "init.tsv"], False),
+    (["train", "german_full", "--format", "json", "--out", "train.json"], True),
+)
 
 
 def ops() -> list[tuple[list[str], bool]]:
@@ -123,6 +140,9 @@ def ops() -> list[tuple[list[str], bool]]:
                  for name in (FLAT_16, "latin_adjectives"))
     sweep.extend(([command, name, "--format", "json"], False)
                  for name in BAD_INPUTS for command in ("compose", "select"))
+    sweep.extend((["compose", "spanish_verbs", *option, "--format", "json"], False)
+                 for option in AUTHORED_BAD_OPTIONS)
+    sweep.extend(OUT_OPS)
     return sweep
 
 
