@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSum, EmptyInventory, UnknownStem
+from .errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem
 from .seeds import seeded_random
 
 HALF_PI = math.pi / 2
@@ -90,8 +90,8 @@ class CompositionInventory:
     def __post_init__(self):
         for name, vec in list(self.stems.items()) + list(self.affixes.items()):
             n = np.linalg.norm(vec)
-            if abs(n - 1.0) > 1e-6:
-                raise EmptyInventory(f"vector for {name!r} is not unit length")
+            if not abs(n - 1.0) <= 1e-6:  # NaN fails too
+                raise ShapeMismatch(f"vector for {name!r} is not unit length")
 
 
 def inventory_from_angles(model: AngleModel, stems, affixes, gold_forms) -> CompositionInventory:

@@ -6,11 +6,11 @@ Grammar (one construct per line, `#` comments and blank lines ignored):
     MORPHEMES: <m1> <m2> ...          # token 0 is the null morpheme
     CELL <value per feature, declaration order> -> <morpheme>
     CLASS <label> LEXEMES <count>     # opens a block of CELL lines
-    END                               # closes a CLASS block
+    END                               # closes it; every block lists the same cells, in order
     PLANE <x-value> <y-value>
     STEM <label> [@ <angle-rad>]
     AFFIX <label> [@ <angle-rad>]
-    FORM <stem> <cell-values> -> <affix>
+    FORM <stem> <cell-values> -> <affix>  # one PLANE value; once per stem and PLANE value
 
 A file declares one feature system and exactly one of: a single gold
 paradigm (top-level CELL lines), a set of inflection classes (CLASS
@@ -39,6 +39,7 @@ from .features import (
 from .rotations import ClassInventory
 
 _TOKEN = re.compile(r"\S+")
+_FIRST_BLOCK_CELLS = "the cells of the first CLASS block, in its order"
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,7 @@ class ParadigmFile:
 
     def corner_matrix(self) -> CornerMatrix:
         fs = self.feature_system()
-        if self.cells:
-            rows = self.cells
-        elif self.classes:
-            rows = self.classes[0][2]
-        else:
-            raise UndeclaredName("file declares no paradigm cells")
+        rows = self.cells or (self.classes[0][2] if self.classes else ())
         return build_corner_matrix(fs, [ParadigmCell.of(fs, values) for values, _ in rows])
 
     def gold_table(self, corners: CornerMatrix | None = None) -> SelectionTable:
@@ -89,18 +85,11 @@ class ParadigmFile:
 
     def class_inventory(self) -> ClassInventory:
         corners = self.corner_matrix()
-        cell_values = [cell.values for cell in corners.row_labels]
-        tables = {}
-        lexemes = {}
-        for label, count, rows in self.classes:
-            if [tuple(values) for values, _ in rows] != cell_values:
-                raise UndeclaredName(
-                    f"class {label} must list the same cells in the same order"
-                )
-            tables[label] = selection_from_winners(
-                corners.row_labels, self.morphemes, [m for _, m in rows]
-            )
-            lexemes[label] = count
+        tables = {
+            label: selection_from_winners(corners.row_labels, self.morphemes, [m for _, m in rows])
+            for label, _, rows in self.classes
+        }
+        lexemes = {label: count for label, count, _ in self.classes}
         return ClassInventory(corners, tuple(self.morphemes), tables, lexemes)
 
     def stem_labels(self) -> tuple[str, ...]:
@@ -128,16 +117,8 @@ class ParadigmFile:
 
     def gold_forms(self):
         """(stem, plane-axis value) -> affix, for the 2D angle machinery."""
-        plane = set(self.plane) if self.plane else set()
-        out = {}
-        for stem, values, affix in self.forms:
-            on_plane = [v for v in values if v in plane]
-            if len(on_plane) != 1:
-                raise UndeclaredName(
-                    f"form for {stem!r} must use exactly one plane value, got {values}"
-                )
-            out[(stem, on_plane[0])] = affix
-        return out
+        return {(stem, v): affix for stem, values, affix in self.forms
+                for v in values if v in self.plane}
 
     # ---- canonical serialization -------------------------------------------
 
@@ -169,18 +150,19 @@ class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.features: list[tuple[str, tuple[str, ...]]] = []
+        self.values: set = set()  # every feature value
+        self.names: set = set()  # every feature name and value
         self.morphemes: tuple[str, ...] | None = None
         self.cells: list = []
         self.classes: list = []
         self.plane = None
-        self.stems: list = []
-        self.affixes: list = []
-        self.forms: list = []
+        self.stems: dict = {}
+        self.affixes: dict = {}
+        self.forms: dict = {}  # line number -> (stem, values, affix)
         self.in_class: tuple[str, int, list] | None = None
-        # keys already listed: top-level cells, the open CLASS block's cells, forms
+        # cells already listed: top-level, and in the open CLASS block
         self.cell_keys: set = set()
         self.class_keys: set = set()
-        self.form_keys: set = set()
 
     def column(self, n, k):
         """1-based column of token k after the directive on line n; k = -1 is the directive.
@@ -193,33 +175,18 @@ class _Parser:
     def fail(self, lineno, col, expected):
         raise ParadigmSyntaxError(lineno, col, expected)
 
-    def feature_names(self):
-        return {name for name, _ in self.features}
-
-    def all_values(self):
-        return {v for _, values in self.features for v in values}
-
-    def declared(self):
-        names = self.feature_names() | self.all_values()
-        names.update(self.morphemes or ())
-        names.update(s for s, _ in self.stems)
-        names.update(a for a, _ in self.affixes)
-        return names
-
-    DIRECTIVES = {
-        "FEATURE": "line_feature",
-        "MORPHEMES:": "line_morphemes",
-        "CELL": "line_cell",
-        "CLASS": "line_class",
-        "END": "line_end",
-        "PLANE": "line_plane",
-        "STEM": "line_stem",
-        "AFFIX": "line_affix",
-        "FORM": "line_form",
-    }
-
     def parse(self) -> ParadigmFile:
-        handlers = {head: getattr(self, name) for head, name in self.DIRECTIVES.items()}
+        handlers = {
+            "FEATURE": self.line_feature,
+            "MORPHEMES:": self.line_morphemes,
+            "CELL": self.line_cell,
+            "CLASS": self.line_class,
+            "END": self.line_end,
+            "PLANE": self.line_plane,
+            "STEM": self.line_positioned,
+            "AFFIX": self.line_positioned,
+            "FORM": self.line_form,
+        }
         for n, raw in enumerate(self.lines, start=1):
             toks = raw.split("#", 1)[0].split()
             if not toks:
@@ -227,12 +194,13 @@ class _Parser:
             head = toks[0]
             handler = handlers.get(head)
             if handler is None:
-                self.fail(n, self.column(n, -1), "a directive (FEATURE, MORPHEMES:, CELL, CLASS, END, PLANE, STEM, AFFIX, FORM)")
+                self.fail(n, self.column(n, -1), f"a directive ({', '.join(handlers)})")
             if self.in_class and head not in ("CELL", "END"):
                 self.fail(n, self.column(n, -1), "only CELL or END inside a CLASS block")
             handler(n, head, toks[1:])
+        end = len(self.lines) + 1
         if self.in_class is not None:
-            self.fail(len(self.lines) + 1, 1, "END to close the open CLASS block")
+            self.fail(end, 1, "END to close the open CLASS block")
         pf = ParadigmFile(
             features=tuple(self.features),
             morphemes=self.morphemes,
@@ -241,15 +209,23 @@ class _Parser:
                 (label, count, tuple(rows)) for label, count, rows in self.classes
             ]),
             plane=self.plane,
-            stems=tuple(self.stems),
-            affixes=tuple(self.affixes),
-            forms=tuple(self.forms),
+            stems=tuple(self.stems.items()),
+            affixes=tuple(self.affixes.items()),
+            forms=tuple(self.forms.values()),
         )
         if len(pf.sections()) != 1:
-            self.fail(len(self.lines) + 1, 1,
+            self.fail(end, 1,
                       "exactly one of: a cell table, class blocks, or a composition section")
         if pf.plane is None and pf.kind() == "composition":
-            self.fail(len(self.lines) + 1, 1, "a PLANE line in the composition section")
+            self.fail(end, 1, "a PLANE line in the composition section")
+        slots = set()  # (stem, plane value) of the FORM lines so far
+        for n, (stem, values, _) in self.forms.items():
+            on_plane = [v for v in values if v in pf.plane]
+            if len(on_plane) != 1:
+                self.fail(n, self.column(n, 1), "exactly one value of the PLANE line")
+            if (stem, on_plane[0]) in slots:
+                raise DuplicateDeclaration(f"FORM {stem} {on_plane[0]}", n)
+            slots.add((stem, on_plane[0]))
         return pf
 
     # ---- one handler per directive; `rest` holds the tokens after it ----
@@ -265,14 +241,16 @@ class _Parser:
         name = name[:-1]
         if not name:
             self.fail(n, self.column(n, 0), "non-empty feature name")
-        values = []
+        values = set()
         for v in rest[1:]:
-            if v in values or v in self.all_values() or v == name or v in self.feature_names():
+            if v in values or v in self.names or v == name:
                 raise DuplicateDeclaration(v, n)
-            values.append(v)
-        if name in self.feature_names() or name in self.all_values():
+            values.add(v)
+        if name in self.names:
             raise DuplicateDeclaration(name, n)
-        self.features.append((name, tuple(values)))
+        self.features.append((name, tuple(rest[1:])))
+        self.values |= values
+        self.names |= values | {name}
 
     def line_morphemes(self, n, head, rest):
         if self.morphemes is not None:
@@ -286,7 +264,7 @@ class _Parser:
             seen.append(m)
         self.morphemes = tuple(seen)
 
-    def _parse_cell(self, n, rest):
+    def line_cell(self, n, head, rest):
         if self.morphemes is None:
             self.fail(n, 1, "a MORPHEMES line before any CELL")
         if rest.count("->") != 1:
@@ -304,16 +282,16 @@ class _Parser:
         m = rest[k + 1]
         if m not in self.morphemes:
             raise UndeclaredName(m, n)
-        return values, m
-
-    def line_cell(self, n, head, rest):
-        row = self._parse_cell(n, rest)
-        bucket = self.in_class[2] if self.in_class else self.cells
+        rows = self.in_class[2] if self.in_class else self.cells
         keys = self.class_keys if self.in_class else self.cell_keys
-        if row[0] in keys:
-            raise DuplicateDeclaration(",".join(row[0]), n)
-        keys.add(row[0])
-        bucket.append(row)
+        if values in keys:
+            raise DuplicateDeclaration(",".join(values), n)
+        if self.in_class and self.classes:
+            first = self.classes[0][2]
+            if len(rows) >= len(first) or first[len(rows)][0] != values:
+                self.fail(n, self.column(n, 0), _FIRST_BLOCK_CELLS)
+        keys.add(values)
+        rows.append((values, m))
 
     def line_class(self, n, head, rest):
         if len(rest) != 3 or rest[1] != "LEXEMES":
@@ -338,6 +316,8 @@ class _Parser:
         label, count, rows = self.in_class
         if not rows:
             self.fail(n, 1, "at least one CELL line in the CLASS block")
+        if self.classes and len(rows) < len(self.classes[0][2]):
+            self.fail(n, 1, _FIRST_BLOCK_CELLS)
         self.classes.append((label, count, rows))
         self.in_class = None
 
@@ -347,15 +327,16 @@ class _Parser:
         if len(rest) != 2:
             self.fail(n, 1, "PLANE <x-value> <y-value>")
         for v in rest:
-            if v not in self.all_values():
+            if v not in self.values:
                 raise UndeclaredName(v, n)
         if rest[0] == rest[1]:
             raise DuplicateDeclaration(rest[0], n)
         self.plane = (rest[0], rest[1])
 
-    def _parse_positioned(self, n, rest, what):
+    def line_positioned(self, n, head, rest):
+        """A STEM or AFFIX line: a new label and, optionally, its angle."""
         if not rest:
-            self.fail(n, 1, f"{what} <label> [@ <angle-rad>]")
+            self.fail(n, 1, f"{head} <label> [@ <angle-rad>]")
         label = rest[0]
         angle = None
         if len(rest) > 1:
@@ -367,40 +348,25 @@ class _Parser:
                 angle = math.nan
             if not math.isfinite(angle):
                 self.fail(n, self.column(n, 2), "a real-number angle in radians")
-        return label, angle
-
-    def line_stem(self, n, head, rest):
-        label, angle = self._parse_positioned(n, rest, "STEM")
-        if label in self.declared():
+        if (label in self.names or label in self.stems or label in self.affixes
+                or label in (self.morphemes or ())):
             raise DuplicateDeclaration(label, n)
-        self.stems.append((label, angle))
-
-    def line_affix(self, n, head, rest):
-        label, angle = self._parse_positioned(n, rest, "AFFIX")
-        if label in self.declared():
-            raise DuplicateDeclaration(label, n)
-        self.affixes.append((label, angle))
+        (self.stems if head == "STEM" else self.affixes)[label] = angle
 
     def line_form(self, n, head, rest):
         k = rest.index("->") if rest.count("->") == 1 else 0
         if k < 2 or len(rest) != k + 2:
             self.fail(n, 1, "FORM <stem> <cell-values> -> <affix>")
         stem = rest[0]
-        if stem not in {s for s, _ in self.stems}:
+        if stem not in self.stems:
             raise UndeclaredName(stem, n)
-        values = []
         for v in rest[1:k]:
-            if v not in self.all_values():
+            if v not in self.values:
                 raise UndeclaredName(v, n)
-            values.append(v)
         affix = rest[k + 1]
-        if affix not in {a for a, _ in self.affixes}:
+        if affix not in self.affixes:
             raise UndeclaredName(affix, n)
-        key = (stem, tuple(values))
-        if key in self.form_keys:
-            raise DuplicateDeclaration(f"FORM {stem} {' '.join(values)}", n)
-        self.form_keys.add(key)
-        self.forms.append((stem, tuple(values), affix))
+        self.forms[n] = (stem, tuple(rest[1:k]), affix)
 
 
 def parse_text(text: str) -> ParadigmFile:

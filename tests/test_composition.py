@@ -15,7 +15,7 @@ from geomorph import (
     select_pair,
 )
 from geomorph.composition import _sum_angle, verify_gold_forms, wrap_angle
-from geomorph.errors import DegenerateSum, EmptyInventory, UnknownStem
+from geomorph.errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem
 
 DEG = math.pi / 180.0
 
@@ -91,6 +91,17 @@ def test_select_pair_empty_inventory():
     inv = CompositionInventory({}, {"y": np.array([0.0, 1.0])}, {})
     with pytest.raises(EmptyInventory):
         select_pair(inv, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [2.0, 0.0]],
+                         ids=["nan", "inf", "norm 2"])
+@pytest.mark.parametrize("side", ["stem", "affix"])
+def test_inventory_rejects_non_unit_vectors(side, bad):
+    unit = {"u": np.array([1.0, 0.0])}
+    vectors = {"v": np.array(bad)}
+    stems, affixes = (vectors, unit) if side == "stem" else (unit, vectors)
+    with pytest.raises(ShapeMismatch, match="'v' is not unit length"):
+        CompositionInventory(stems, affixes, {})
 
 
 def test_spanish_affix_choice_by_angle(spanish):

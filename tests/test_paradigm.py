@@ -4,6 +4,7 @@ from geomorph import fixtures, parse_text
 from geomorph.errors import (
     DuplicateDeclaration,
     ParadigmSyntaxError,
+    ShapeMismatch,
     UndeclaredName,
 )
 
@@ -49,6 +50,11 @@ def test_composition_fixture(spanish):
     assert model.entries["cant"] == -0.18875
     gold = spanish.gold_forms()
     assert gold[("cant", "second")] == "as"
+
+
+def test_corner_matrix_of_a_file_without_cells(spanish):
+    with pytest.raises(ShapeMismatch, match="need at least one cell"):
+        spanish.corner_matrix()
 
 
 def test_angle_model_is_none_when_unpositioned(german_plurals):
@@ -146,6 +152,6 @@ def test_class_blocks_must_share_cells():
         "CLASS A LEXEMES 2\nCELL sg -> 0\nCELL pl -> s\nEND\n"
         "CLASS B LEXEMES 1\nCELL pl -> s\nCELL sg -> 0\nEND\n"
     )
-    pf = parse_text(text)
-    with pytest.raises(UndeclaredName):
-        pf.class_inventory()
+    with pytest.raises(ParadigmSyntaxError, match="cells of the first CLASS block") as err:
+        parse_text(text)
+    assert (err.value.line, err.value.col) == (8, 6)

@@ -93,6 +93,12 @@ CASES = [
      ParadigmSyntaxError, 3, 1, 'line 3, col 1: expected END only closes a CLASS block'),
     ('tokens after end', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCLASS A LEXEMES 1\nCELL sg -> 0\nEND  now\n',
      ParadigmSyntaxError, 5, 6, 'line 5, col 6: expected nothing after END'),
+    ('later class cell out of order', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCLASS A LEXEMES 2\nCELL sg -> 0\nCELL pl -> s\nEND\nCLASS B LEXEMES 1\nCELL  pl -> s\n',
+     ParadigmSyntaxError, 8, 7, 'line 8, col 7: expected the cells of the first CLASS block, in its order'),
+    ('later class one cell more', 'FEATURE number: sg pl du\nMORPHEMES: 0 s\nCLASS A LEXEMES 2\nCELL sg -> 0\nCELL pl -> s\nEND\nCLASS B LEXEMES 1\nCELL sg -> s\nCELL pl -> s\nCELL du -> s\nEND\n',
+     ParadigmSyntaxError, 10, 6, 'line 10, col 6: expected the cells of the first CLASS block, in its order'),
+    ('later class one cell fewer', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCLASS A LEXEMES 2\nCELL sg -> 0\nCELL pl -> s\nEND\nCLASS B LEXEMES 1\nCELL sg -> s\nEND\n',
+     ParadigmSyntaxError, 9, 1, 'line 9, col 1: expected the cells of the first CLASS block, in its order'),
     ('empty class', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCLASS A LEXEMES 1\nEND\n',
      ParadigmSyntaxError, 4, 1, 'line 4, col 1: expected at least one CELL line in the CLASS block'),
     ('composition without plane', 'FEATURE number: sg pl\nSTEM x\nAFFIX y\nFORM x sg -> y\n',
@@ -141,6 +147,12 @@ CASES = [
      UndeclaredName, 5, None, "undeclared name 'z' (line 5)"),
     ('form twice', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x\nAFFIX y\nFORM x sg -> y\nFORM x sg -> y\n',
      DuplicateDeclaration, 6, None, "duplicate declaration of 'FORM x sg' (line 6)"),
+    ('form without plane value', 'FEATURE number: sg pl\nFEATURE case: nom gen\nPLANE pl sg\nSTEM x\nAFFIX y\nFORM x  nom -> y\n',
+     ParadigmSyntaxError, 6, 9, 'line 6, col 9: expected exactly one value of the PLANE line'),
+    ('form two plane values', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x\nAFFIX y\nFORM x sg pl -> y\n',
+     ParadigmSyntaxError, 5, 8, 'line 5, col 8: expected exactly one value of the PLANE line'),
+    ('form plane value twice by case', 'FEATURE number: sg pl\nFEATURE case: nom gen\nPLANE pl sg\nSTEM x\nAFFIX y\nFORM x sg nom -> y\nFORM x sg gen -> y\n',
+     DuplicateDeclaration, 7, None, "duplicate declaration of 'FORM x sg' (line 7)"),
 ]
 
 
@@ -164,3 +176,8 @@ def test_same_cell_in_two_classes_is_legal():
         ((("sg",), "0"), (("pl",), "s")),
         ((("sg",), "s"), (("pl",), "s")),
     ]
+
+
+def test_form_may_precede_plane():
+    pf = parse_text("FEATURE number: sg pl\nSTEM x\nAFFIX y\nFORM x sg -> y\nPLANE pl sg\n")
+    assert pf.gold_forms() == {("x", "sg"): "y"}

@@ -76,10 +76,15 @@ FLAT_16_OPS = ((["select", FLAT_16, "--format", "json"], False),
 # columns far, so a change in how the delta update rounds shows in the traces.
 LARGE_STEP = ("--eta", "2.5", "--max-iters", "5")
 # Files the reader rejects: authored angles that are not finite (exit 1 with
-# a line and column) and a feature named like a value of an earlier feature.
+# a line and column), a feature named like a value of an earlier feature, a
+# later CLASS block whose cells are not the first block's, and FORM lines that
+# do not name one plane value each, once per stem.
 _COMPOSITION = "FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind{}\nSTEM Auto\n" \
     "AFFIX 0\nAFFIX s{}\nFORM Kind sg -> 0\nFORM Kind pl -> 0\n" \
     "FORM Auto sg -> 0\nFORM Auto pl -> s\n"
+_CASE_COMPOSITION = "FEATURE case: nom gen\n" + _COMPOSITION.format("", "")
+_CLASSES = "FEATURE number: sg pl\nMORPHEMES: 0 s\n" \
+    "CLASS A LEXEMES 2\nCELL sg -> 0\nCELL pl -> s\nEND\nCLASS B LEXEMES 1\n{}END\n"
 BAD_INPUTS = {
     "angle_nan.par": _COMPOSITION.format(" @ nan", ""),
     "angle_inf.par": _COMPOSITION.format("", " @ inf"),
@@ -91,6 +96,12 @@ BAD_INPUTS = {
     "feature_after_cell.par":
         "FEATURE number: sg pl\nMORPHEMES: 0 s\nCELL sg -> 0\nCELL pl -> s\n"
         "FEATURE case: nom acc\n",
+    # a later CLASS block with the first block's cells out of order, and one short of them
+    "class_cells_out_of_order.par": _CLASSES.format("CELL pl -> s\nCELL sg -> 0\n"),
+    "class_short.par": _CLASSES.format("CELL sg -> s\n"),
+    # a FORM on no plane value, and a second FORM on one stem and plane value
+    "form_without_plane_value.par": _CASE_COMPOSITION + "FORM Kind nom -> s\n",
+    "form_plane_value_twice.par": _CASE_COMPOSITION + "FORM Kind sg gen -> s\n",
 }
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
