@@ -188,10 +188,12 @@ def cmd_compose(args, pf, config):
             initial=pf.authored_angles(),
         )
         model, converged, iterations = result.model, result.converged, result.iterations
-    selections = []
+    selections, ties = [], []
     failures = verify_gold_forms(model, pf.stem_labels(), pf.affix_labels(), gold_forms)
     for (stem, value), affix in sorted(gold_forms.items()):
         got = select_affix_by_angle(model, stem, pf.affix_labels(), value)
+        if got is None:
+            ties.append(f"{stem},{value}")
         selections.append(
             {"stem": stem, "slot": value, "gold": affix, "selected": got}
         )
@@ -213,7 +215,10 @@ def cmd_compose(args, pf, config):
         "converged": converged,
         "iterations": iterations,
     }
-    return sections, EXIT_OK if converged and not failures else EXIT_NOT_CONVERGED, None
+    if ties:  # only a report with a tie has the section, so the others keep their bytes
+        sections["ties"] = ties
+    code = EXIT_OK if converged and not failures else EXIT_NOT_CONVERGED
+    return sections, EXIT_TIE if ties else code, None
 
 
 def cmd_rotate(args, pf, config):

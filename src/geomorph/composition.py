@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem
+from .exponence import UNIT_TOL, decide_row
 from .seeds import seeded_random
 
 HALF_PI = math.pi / 2
@@ -90,16 +91,18 @@ class CompositionInventory:
     def __post_init__(self):
         for name, vec in list(self.stems.items()) + list(self.affixes.items()):
             n = np.linalg.norm(vec)
-            if not abs(n - 1.0) <= 1e-6:  # NaN fails too
+            if not abs(n - 1.0) <= UNIT_TOL:  # NaN fails too
                 raise ShapeMismatch(f"vector for {name!r} is not unit length")
 
 
 def inventory_from_angles(model: AngleModel, stems, affixes, gold_forms) -> CompositionInventory:
-    return CompositionInventory(
-        {s: model.vector(s) for s in stems},
-        {a: model.vector(a) for a in affixes},
-        dict(gold_forms),
-    )
+    return CompositionInventory({s: model.vector(s) for s in stems},
+                                {a: model.vector(a) for a in affixes}, dict(gold_forms))
+
+
+def _nearest(distances: list[float]) -> int:
+    """Index of the strictly least distance, or -1 (a tie): `decide_row` on their negations."""
+    return decide_row([-d for d in distances])
 
 
 def select_pair(inv: CompositionInventory, target: np.ndarray):
@@ -111,36 +114,37 @@ def select_pair(inv: CompositionInventory, target: np.ndarray):
     if not inv.stems or not inv.affixes:
         raise EmptyInventory("need at least one stem and one affix")
     target = np.asarray(target, dtype=float)
-    scored = []
-    for s, sv in inv.stems.items():
-        for a, av in inv.affixes.items():
-            scored.append((float(np.linalg.norm(sv + av - target)), (s, a)))
-    best = min(d for d, _ in scored)
-    winners = [pair for d, pair in scored if d == best]
-    return winners[0], winners[1:]
+    pairs = [(s, a) for s in inv.stems for a in inv.affixes]
+    dists = [float(np.linalg.norm(inv.stems[s] + inv.affixes[a] - target)) for s, a in pairs]
+    k = _nearest(dists)
+    if k >= 0:
+        return pairs[k], []
+    best = min(dists)
+    tied = [pair for pair, d in zip(pairs, dists) if d == best]
+    return tied[0], tied[1:]
 
 
-def select_affix_for_stem(inv: CompositionInventory, stem: str, target: np.ndarray) -> str:
-    """Nearest-sum affix with the stem held fixed (stem choice is lexical)."""
+def select_affix_for_stem(inv: CompositionInventory, stem: str, target: np.ndarray) -> str | None:
+    """Nearest-sum affix with the stem held fixed (stem choice is lexical); None on a tie."""
     if stem not in inv.stems:
         raise UnknownStem(stem)
     if not inv.affixes:
         raise EmptyInventory("no affixes")
-    sv = inv.stems[stem]
-    target = np.asarray(target, dtype=float)
-    return min(
-        inv.affixes, key=lambda a: float(np.linalg.norm(sv + inv.affixes[a] - target))
-    )
+    sv, target = inv.stems[stem], np.asarray(target, dtype=float)
+    affixes = list(inv.affixes)
+    k = _nearest([float(np.linalg.norm(sv + inv.affixes[a] - target)) for a in affixes])
+    return affixes[k] if k >= 0 else None
 
 
-def select_affix_by_angle(model: AngleModel, stem: str, affixes, axis_value: str) -> str:
-    """2D specialization: minimize the absolute sum angle to a target axis."""
+def select_affix_by_angle(model: AngleModel, stem: str, affixes, axis_value: str) -> str | None:
+    """2D specialization: the least absolute sum angle to a target axis; None on a tie."""
     if stem not in model.entries:
         raise UnknownStem(stem)
     affixes = list(affixes)
     if not affixes:
         raise EmptyInventory("no affixes")
-    return min(affixes, key=lambda a: model.sum_distance(stem, a, axis_value))
+    k = _nearest([model.sum_distance(stem, a, axis_value) for a in affixes])
+    return affixes[k] if k >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -185,37 +189,30 @@ def learn_angles(
     given in `initial`, which start where the caller placed them. A pass
     visits every (stem, gold affix, rival) triple in declaration order;
     whenever the rival's sum lies closer to the target axis than the gold
-    sum, or within the margin of it, the stem and gold affix move one step
+    sum, within the margin of it, or exactly as close (a tie is never a
+    win, at any margin), the stem and gold affix move one step
     so their sum approaches the axis, and the rival moves one step so its
     sum retreats. A rival whose sum is already a quarter turn or more from
     the axis is beaten regardless and is left where it is; unbounded retreat
     would let the configuration wander into the antipodal half-plane where
     sums degenerate. Convergence is a full pass with no adjustment.
     """
-    stems = list(stems)
-    affixes = list(affixes)
-    gold = dict(gold_forms)
-    x_value, y_value = plane
-    for stem in stems:
-        for value in (x_value, y_value):
-            if (stem, value) not in gold:
-                raise EmptyInventory(f"no gold affix for stem {stem!r} on {value!r}")
+    stems, affixes, gold = list(stems), list(affixes), dict(gold_forms)
+    missing = [(stem, value) for stem in stems for value in plane if (stem, value) not in gold]
+    if missing:
+        raise EmptyInventory("no gold affix for stem {!r} on {!r}".format(*missing[0]))
     rng = seeded_random(cfg.seed)
     initial = initial or {}
-    ang = {
-        lab: initial[lab] if lab in initial else rng.uniform(-HALF_PI, HALF_PI)
-        for lab in stems + affixes
-    }
+    ang = {lab: initial[lab] if lab in initial else rng.uniform(-HALF_PI, HALF_PI)
+           for lab in stems + affixes}
 
-    targets = []
-    for stem in stems:
-        for affix in affixes:
-            for value, axis in ((y_value, HALF_PI), (x_value, 0.0)):
-                if gold.get((stem, value)) == affix:
-                    targets.append((stem, affix, axis))
+    targets = [(stem, affix, axis) for stem in stems for affix in affixes
+               for value, axis in ((plane[1], HALF_PI), (plane[0], 0.0))
+               if gold.get((stem, value)) == affix]
 
-    total_adjustments = 0
-    for it in range(1, cfg.max_iters + 1):
+    step, margin = cfg.stepsize, cfg.margin
+    total_adjustments = iterations = 0
+    while iterations < cfg.max_iters:  # reaching max_iters is not converging
         adjusted = False
         for stem, gold_affix, axis in targets:
             dg = _offset(ang[stem], ang[gold_affix], axis)
@@ -223,19 +220,20 @@ def learn_angles(
                 if rival == gold_affix:
                     continue
                 dr = _offset(ang[stem], ang[rival], axis)
-                if abs(dr) < abs(dg) + cfg.margin:
+                r, g = abs(dr), abs(dg)
+                if r < g + margin or r == g:  # a tie is not a win
                     adjusted = True
                     total_adjustments += 1
-                    ang[stem] += cfg.stepsize * _sign(dg)
-                    ang[gold_affix] += cfg.stepsize * _sign(dg)
-                    if abs(dr) < HALF_PI:
-                        ang[rival] -= cfg.stepsize * _sign(dr)
+                    ang[stem] += step * _sign(dg)
+                    ang[gold_affix] += step * _sign(dg)
+                    if r < HALF_PI:
+                        ang[rival] -= step * _sign(dr)
                     dg = _offset(ang[stem], ang[gold_affix], axis)
         if not adjusted:
-            model = AngleModel(plane, {k: wrap_angle(v) for k, v in ang.items()})
-            return AngleLearnResult(model, it - 1, True, total_adjustments)
+            break
+        iterations += 1
     model = AngleModel(plane, {k: wrap_angle(v) for k, v in ang.items()})
-    return AngleLearnResult(model, cfg.max_iters, False, total_adjustments)
+    return AngleLearnResult(model, iterations, iterations < cfg.max_iters, total_adjustments)
 
 
 def verify_gold_forms(model: AngleModel, stems, affixes, gold_forms) -> list[tuple[str, str, str, str]]:

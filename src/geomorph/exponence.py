@@ -161,6 +161,15 @@ def gold_wins(acts: list[float], gold: int) -> bool:
     return acts[gold] == top and acts.count(top) == 1
 
 
+def decide_row(scores: list[float]) -> int:
+    """`decide` on one row held as a list: the index of its strict maximum, or -1 if shared.
+
+    Exact float equality, as in `gold_wins`: 0.0 and -0.0 tie, as do two infs.
+    """
+    top = max(scores)
+    return scores.index(top) if scores.count(top) == 1 else -1
+
+
 def decide(acts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The model's one decision over a cells x exponents activation matrix.
 

@@ -151,7 +151,7 @@ class _Parser:
         self.lines = text.splitlines()
         self.features: list[tuple[str, tuple[str, ...]]] = []
         self.values: set = set()  # every feature value
-        self.names: set = set()  # every feature name and value
+        self.declared: set = set()  # feature names and values, morphemes, stems, affixes
         self.morphemes: tuple[str, ...] | None = None
         self.cells: list = []
         self.classes: list = []
@@ -174,6 +174,13 @@ class _Parser:
 
     def fail(self, lineno, col, expected):
         raise ParadigmSyntaxError(lineno, col, expected)
+
+    def declare(self, n, names):
+        """Enter `names` in the symbol table, in order; a name already there is a duplicate."""
+        for name in names:
+            if name in self.declared:
+                raise DuplicateDeclaration(name, n)
+            self.declared.add(name)
 
     def parse(self) -> ParadigmFile:
         handlers = {
@@ -241,28 +248,17 @@ class _Parser:
         name = name[:-1]
         if not name:
             self.fail(n, self.column(n, 0), "non-empty feature name")
-        values = set()
-        for v in rest[1:]:
-            if v in values or v in self.names or v == name:
-                raise DuplicateDeclaration(v, n)
-            values.add(v)
-        if name in self.names:
-            raise DuplicateDeclaration(name, n)
+        self.declare(n, rest[1:] + [name])
         self.features.append((name, tuple(rest[1:])))
-        self.values |= values
-        self.names |= values | {name}
+        self.values.update(rest[1:])
 
     def line_morphemes(self, n, head, rest):
         if self.morphemes is not None:
             raise DuplicateDeclaration("MORPHEMES", n)
         if not rest:
             self.fail(n, len(self.lines[n - 1]) + 1, "at least one morpheme")
-        seen = []
-        for m in rest:
-            if m in seen:
-                raise DuplicateDeclaration(m, n)
-            seen.append(m)
-        self.morphemes = tuple(seen)
+        self.declare(n, rest)
+        self.morphemes = tuple(rest)
 
     def line_cell(self, n, head, rest):
         if self.morphemes is None:
@@ -348,9 +344,7 @@ class _Parser:
                 angle = math.nan
             if not math.isfinite(angle):
                 self.fail(n, self.column(n, 2), "a real-number angle in radians")
-        if (label in self.names or label in self.stems or label in self.affixes
-                or label in (self.morphemes or ())):
-            raise DuplicateDeclaration(label, n)
+        self.declare(n, [label])
         (self.stems if head == "STEM" else self.affixes)[label] = angle
 
     def line_form(self, n, head, rest):

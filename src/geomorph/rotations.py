@@ -148,6 +148,7 @@ def sigmoid_gain(a_winner: float, a_intended: float) -> float:
 
 
 _RUN_SEED_STRIDE = 1_009  # per-class offset between run seeds
+_SEED_STRIDE = 1_000_003  # per-seed offset; one seed's classes must fit below it
 
 
 @dataclass(frozen=True)
@@ -428,8 +429,8 @@ class ClassRunStats:
 
 
 def run_seed(cfg: RotationLearnConfig, class_index: int, run: int) -> int:
-    """Seed of run `run` for the `class_index`-th class; distinct while runs < 1009."""
-    return cfg.seed * 1_000_003 + class_index * _RUN_SEED_STRIDE + run
+    """Seed of a (class, run); distinct over seeds while runs < 1009 and classes < 992."""
+    return cfg.seed * _SEED_STRIDE + class_index * _RUN_SEED_STRIDE + run
 
 
 def learn_all_classes(
@@ -442,9 +443,12 @@ def learn_all_classes(
     Every (class, run) pair is one lane of a single lockstep search, and
     each run's result is the one `learn_class_rotation` gives it alone.
     """
+    labels = inv.labels()
+    if len(labels) * _RUN_SEED_STRIDE > _SEED_STRIDE:
+        raise ValueError(f"at most {_SEED_STRIDE // _RUN_SEED_STRIDE} classes, "
+                         "or run seeds repeat across seeds")
     base = base_configuration(inv, min_lexemes)
     base_label = class_of_base(base, inv)
-    labels = inv.labels()
     goals = np.stack([inv.classes[label].matrix == 1.0 for label in labels])
     rngs = [seeded_random(run_seed(cfg, ci, run))
             for ci in range(len(labels)) for run in range(cfg.runs)]

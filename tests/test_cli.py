@@ -78,6 +78,7 @@ def test_compose_authored_angles(capsys):
     assert got[("cant", "second")] == "as"
     assert got[("com", "second")] == "es"
     assert got[("cant", "first")] == "o" and got[("com", "first")] == "o"
+    assert "ties" not in data  # only a report with a tie has the section
 
 
 def test_compose_learns_when_unpositioned(capsys):
@@ -87,6 +88,41 @@ def test_compose_learns_when_unpositioned(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["converged"] is True and data["failures"] == 0
+
+
+# Kind + a and Kind + b are both exactly 0.25 rad from the pl axis
+TIED_COMPOSITION = ("FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind @ 0.0\nAFFIX a @ 0.5\n"
+                    "AFFIX b @ -0.5\nAFFIX c @ 1.5707963267948966\n"
+                    "FORM Kind pl -> {}\nFORM Kind sg -> c\n")
+
+
+@pytest.mark.parametrize("gold", ["b", "a"])
+def test_compose_reports_a_tie_and_exits_three(tmp_path, capsys, gold):
+    path = tmp_path / "tie.par"
+    path.write_text(TIED_COMPOSITION.format(gold), encoding="utf-8")
+    code, out, _ = run(capsys, "compose", str(path), "--format", "json")
+    assert code == 3
+    data = json.loads(out)
+    assert data["ties"] == ["Kind,pl"] and data["failures"] == 1
+    got = {s["slot"]: s["selected"] for s in data["selections"]}
+    assert got == {"pl": None, "sg": "c"}
+    code, out, _ = run(capsys, "compose", str(path))
+    assert code == 3 and f"{gold}\t-\tpl\tKind" in out.splitlines()
+
+
+def test_rotate_rejects_more_classes_than_the_seed_stride_holds(tmp_path, capsys):
+    """Run seeds of 992 classes would reach the next CLI seed's (1009 x 992 > 1000003)."""
+    blocks = "".join(f"CLASS C{k} LEXEMES 1\nCELL sg -> 0\nCELL pl -> s\nEND\n"
+                     for k in range(992))
+    path = tmp_path / "classes.par"
+    path.write_text(f"FEATURE number: sg pl\nMORPHEMES: 0 s\n{blocks}", encoding="utf-8")
+    code, out, err = run(capsys, "rotate", str(path), "--max-iters", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: at most 991 classes, or run seeds repeat across seeds\n"
+    path.write_text(path.read_text().split("CLASS C991")[0], encoding="utf-8")
+    code, out, _ = run(capsys, "rotate", str(path), "--max-iters", "0", "--min-lexemes", "1",
+                       "--format", "json")
+    assert code == 0 and len(json.loads(out)["classes"]) == 991
 
 
 def test_rotate_small_batch(capsys):

@@ -93,8 +93,8 @@ def test_select_pair_empty_inventory():
         select_pair(inv, np.array([1.0, 1.0]))
 
 
-@pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [2.0, 0.0]],
-                         ids=["nan", "inf", "norm 2"])
+@pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [2.0, 0.0], [1 + 1e-7, 0.0]],
+                         ids=["nan", "inf", "norm 2", "norm 1 + 1e-7"])
 @pytest.mark.parametrize("side", ["stem", "affix"])
 def test_inventory_rejects_non_unit_vectors(side, bad):
     unit = {"u": np.array([1.0, 0.0])}
@@ -102,6 +102,34 @@ def test_inventory_rejects_non_unit_vectors(side, bad):
     stems, affixes = (vectors, unit) if side == "stem" else (unit, vectors)
     with pytest.raises(ShapeMismatch, match="'v' is not unit length"):
         CompositionInventory(stems, affixes, {})
+
+
+# Kind + a and Kind + b are both exactly 0.25 rad from the pl axis, and as far from (1, 0)
+TIE_ANGLES = {"Kind": 0.0, "a": 0.5, "b": -0.5, "c": math.pi / 2}
+TIE_GOLD = {("Kind", "pl"): "b", ("Kind", "sg"): "c"}
+
+
+def test_selections_by_angle_and_by_distance_tie_to_none():
+    model = AngleModel(("pl", "sg"), TIE_ANGLES)
+    affixes = ["a", "b", "c"]
+    assert select_affix_by_angle(model, "Kind", affixes, "pl") is None
+    assert select_affix_by_angle(model, "Kind", affixes, "sg") == "c"
+    assert verify_gold_forms(model, ["Kind"], affixes, TIE_GOLD) == [("Kind", "pl", "b", None)]
+    inv = inventory_from_angles(model, ["Kind"], affixes, TIE_GOLD)
+    assert select_affix_for_stem(inv, "Kind", np.array([1.0, 0.0])) is None
+    assert select_affix_for_stem(inv, "Kind", np.array([0.0, 1.0])) == "c"
+    # two affixes at one position tie at distance 0
+    twins = CompositionInventory({"x": np.array([1.0, 0.0])},
+                                 {"p": np.array([0.0, 1.0]), "q": np.array([0.0, 1.0])}, {})
+    assert select_affix_for_stem(twins, "x", np.array([1.0, 1.0])) is None
+    assert select_pair(twins, np.array([1.0, 1.0])) == (("x", "p"), [("x", "q")])
+
+
+def test_learner_does_not_stop_on_an_exact_tie_at_margin_zero():
+    res = learn_angles(["Kind"], ["a", "b", "c"], TIE_GOLD, ("pl", "sg"),
+                       AngleLearnConfig(margin=0.0), initial=TIE_ANGLES)
+    assert res.adjustments > 0 and res.iterations > 0 and res.converged
+    assert verify_gold_forms(res.model, ["Kind"], ["a", "b", "c"], TIE_GOLD) == []
 
 
 def test_spanish_affix_choice_by_angle(spanish):

@@ -53,6 +53,8 @@ CASES = [
      ParadigmSyntaxError, 2, 11, 'line 2, col 11: expected at least one morpheme'),
     ('morpheme repeated', 'FEATURE number: sg pl\nMORPHEMES: 0 s 0\n',
      DuplicateDeclaration, 2, None, "duplicate declaration of '0' (line 2)"),
+    ('morpheme named like a value', 'FEATURE number: sg pl\nMORPHEMES: sg s\n',
+     DuplicateDeclaration, 2, None, "duplicate declaration of 'sg' (line 2)"),
     ('cell before morphemes', 'FEATURE number: sg pl\nCELL sg -> 0\n',
      ParadigmSyntaxError, 2, 1, 'line 2, col 1: expected a MORPHEMES line before any CELL'),
     ('cell without arrow', 'FEATURE number: sg pl\nMORPHEMES: 0 s\nCELL sg 0\n',
@@ -133,6 +135,8 @@ CASES = [
      DuplicateDeclaration, 4, None, "duplicate declaration of 'x' (line 4)"),
     ('affix named like a feature', 'FEATURE number: sg pl\nPLANE pl sg\nAFFIX number\n',
      DuplicateDeclaration, 3, None, "duplicate declaration of 'number' (line 3)"),
+    ('value named like a stem', 'FEATURE number: sg pl\nSTEM Kind\nAFFIX s\nFEATURE case: Kind s\n',
+     DuplicateDeclaration, 4, None, "duplicate declaration of 'Kind' (line 4)"),
     ('form without arrow', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x\nAFFIX y\nFORM x sg y\n',
      ParadigmSyntaxError, 5, 1, 'line 5, col 1: expected FORM <stem> <cell-values> -> <affix>'),
     ('form without values', 'FEATURE number: sg pl\nPLANE pl sg\nSTEM x\nAFFIX y\nFORM x -> y\n',

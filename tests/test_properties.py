@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import geomorph as g
 from geomorph.composition import _sum_angle, wrap_angle
-from geomorph.exponence import ActivationMatrix, gold_margins, gold_wins
+from geomorph.exponence import ActivationMatrix, decide_row, gold_margins, gold_wins
 from geomorph.rotations import _convergence_test, _margin_positions, _worst_margins
 
 # ---------------------------------------------------------------- helpers
@@ -237,6 +237,7 @@ def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
     rows = list(zip(a.tolist(), gold_index))
     assert [gold_wins(row, j) for row, j in rows] == [
         reference_gold_margin(row, j) > 0 for row, j in rows]
+    assert [decide_row(row) for row, _ in rows] == [-1 if w is None else w for w in ref_winners]
     floor = rng.choice([-0.5, 0.0, 0.02, 0.5])
     worst = _worst_margins(a.ravel(), *_margin_positions(is_gold[None]))
     ok = _convergence_test(floor)(worst)
@@ -254,6 +255,7 @@ def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
 def test_gold_wins_is_the_margin_test_on_edge_rows(row, wins):
     """`gold_wins` against the per-row oracle and `gold_margins`, for each gold index."""
     assert [gold_wins(row, j) for j in range(len(row))] == wins
+    assert decide_row(row) == (wins.index(True) if True in wins else -1)
     assert [reference_gold_margin(row, j) > 0 for j in range(len(row))] == wins
     with np.errstate(invalid="ignore"):  # inf - inf
         margins = gold_margins(np.array([row] * len(row)), np.eye(len(row), dtype=bool))

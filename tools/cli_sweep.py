@@ -13,8 +13,10 @@ file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
 into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
 `select` and `train` on the second as well as on the bundled flat fixtures,
 `compose` and `select` on each of the rest. The OUT_OPS write their reports
-to files in OUT_DIR, which `diff -r` compares too. The sweep ends with
-`report` on every non-empty JSON output of the ops before it.
+to files in OUT_DIR, which `diff -r` compares too. The ops run in two
+groups, each followed by `report` on every non-empty JSON output of its ops:
+the second group is `compose` on the tied compositions TIES, run last so
+that no op number of the first group depends on it.
 """
 from __future__ import annotations
 
@@ -103,6 +105,12 @@ BAD_INPUTS = {
     "form_without_plane_value.par": _CASE_COMPOSITION + "FORM Kind nom -> s\n",
     "form_plane_value_twice.par": _CASE_COMPOSITION + "FORM Kind sg gen -> s\n",
 }
+# Two compositions with an exact tie: Kind + a and Kind + b are both 0.25 rad
+# from the pl axis. The gold affix is b in one file and a in the other.
+_TIE = "FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind @ 0.0\nAFFIX a @ 0.5\n" \
+    "AFFIX b @ -0.5\nAFFIX c @ 1.5707963267948966\nFORM Kind pl -> {}\nFORM Kind sg -> c\n"
+TIES = {"tie.par": _TIE.format("b"), "tie_gold_a.par": _TIE.format("a")}
+TIE_OPS = [(["compose", name, "--format", fmt], False) for name in TIES for fmt in ("json", "tsv")]
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"),
@@ -211,17 +219,22 @@ def main(src_dir: str, out_dir: str) -> int:
     os.chdir(out_dir)
     Path(MULTI_FEATURE).write_text(multi_feature_text(), encoding="utf-8")
     Path(FLAT_16).write_text(flat_16_text(), encoding="utf-8")
-    for name, text in BAD_INPUTS.items():
+    for name, text in {**BAD_INPUTS, **TIES}.items():
         Path(name).write_text(text, encoding="utf-8")
-    sweep, saved = ops(), []
-    for n, (argv, traced) in enumerate(sweep):
-        if traced:
-            argv = argv + ["--trace", f"{n}.trace"]
-        if run(cli.main, n, argv) and "json" in argv:
-            saved.append(f"{n}.out")
-    for n, path in enumerate(saved, start=len(sweep)):
-        run(cli.main, n, ["report", path])
-    print(f"{len(sweep) + len(saved)} ops, {len(saved)} report re-renders, "
+    n = renders = 0
+    for group in (ops(), TIE_OPS):
+        saved = []
+        for argv, traced in group:
+            if traced:
+                argv = argv + ["--trace", f"{n}.trace"]
+            if run(cli.main, n, argv) and "json" in argv:
+                saved.append(f"{n}.out")
+            n += 1
+        for path in saved:
+            run(cli.main, n, ["report", path])
+            n += 1
+        renders += len(saved)
+    print(f"{n} ops, {renders} report re-renders, "
           f"{len(list(Path().glob('*.trace')))} trace files in {out_dir}")
     return 0
 
