@@ -8,6 +8,7 @@ to a target axis is an absolute angle difference.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +196,11 @@ def learn_angles(
     sum retreats. A rival whose sum is already a quarter turn or more from
     the axis is beaten regardless and is left where it is; unbounded retreat
     would let the configuration wander into the antipodal half-plane where
-    sums degenerate. Convergence is a full pass with no adjustment.
+    sums degenerate. Convergence is a full pass with no adjustment. A pass
+    that adjusts yet ends with every angle bit for bit where it began would
+    repeat forever, so the run stops there with what running out `max_iters`
+    returns: the same angles, not converged, its adjustments counted for
+    every pass left. A label's sine and cosine are recomputed only when it moves.
     """
     stems, affixes, gold = list(stems), list(affixes), dict(gold_forms)
     missing = [(stem, value) for stem in stems for value in plane if (stem, value) not in gold]
@@ -205,34 +210,45 @@ def learn_angles(
     initial = initial or {}
     ang = {lab: initial[lab] if lab in initial else rng.uniform(-HALF_PI, HALF_PI)
            for lab in stems + affixes}
-
-    targets = [(stem, affix, axis) for stem in stems for affix in affixes
+    # a label that is a stem and an affix at once holds one angle, at one index
+    index, th = {lab: k for k, lab in enumerate(ang)}, list(ang.values())
+    sin, cos, atan2 = math.sin, math.cos, math.atan2
+    sn, cs = [sin(t) for t in th], [cos(t) for t in th]
+    targets = [(index[stem], index[affix], axis, [index[r] for r in affixes if r != affix])
+               for stem in stems for affix in affixes
                for value, axis in ((plane[1], HALF_PI), (plane[0], 0.0))
                if gold.get((stem, value)) == affix]
 
-    step, margin = cfg.stepsize, cfg.margin
+    step, margin, pi, tau = cfg.stepsize, cfg.margin, math.pi, 2 * math.pi
     total_adjustments = iterations = 0
     while iterations < cfg.max_iters:  # reaching max_iters is not converging
-        adjusted = False
-        for stem, gold_affix, axis in targets:
-            dg = _offset(ang[stem], ang[gold_affix], axis)
-            for rival in affixes:
-                if rival == gold_affix:
-                    continue
-                dr = _offset(ang[stem], ang[rival], axis)
-                r, g = abs(dr), abs(dg)
-                if r < g + margin or r == g:  # a tie is not a win
-                    adjusted = True
-                    total_adjustments += 1
-                    ang[stem] += step * _sign(dg)
-                    ang[gold_affix] += step * _sign(dg)
-                    if r < HALF_PI:
-                        ang[rival] -= step * _sign(dr)
-                    dg = _offset(ang[stem], ang[gold_affix], axis)
-        if not adjusted:
+        start, adjustments = array("d", th).tobytes(), 0
+        for s, g, axis, rivals in targets:
+            # _offset inlined: axis - atan2(...) is in (-2pi, 2pi), where fmod is exact
+            dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
+            dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
+            for r in rivals:
+                dr = axis - atan2(sn[s] + sn[r], cs[s] + cs[r])
+                dr = dr - tau if dr > pi else (dr + tau if dr <= -pi else dr)
+                ar, ag = abs(dr), abs(dg)
+                if ar < ag + margin or ar == ag:  # a tie is not a win
+                    adjustments += 1
+                    th[s] += step * _sign(dg)
+                    th[g] += step * _sign(dg)
+                    if ar < HALF_PI:
+                        th[r] -= step * _sign(dr)
+                        sn[r], cs[r] = sin(th[r]), cos(th[r])
+                    sn[s], cs[s], sn[g], cs[g] = sin(th[s]), cos(th[s]), sin(th[g]), cos(th[g])
+                    dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
+                    dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
+        if not adjustments:
             break
         iterations += 1
-    model = AngleModel(plane, {k: wrap_angle(v) for k, v in ang.items()})
+        total_adjustments += adjustments
+        if array("d", th).tobytes() == start:  # every later pass repeats this one
+            total_adjustments += adjustments * (cfg.max_iters - iterations)
+            iterations = cfg.max_iters
+    model = AngleModel(plane, {k: wrap_angle(v) for k, v in zip(ang, th)})
     return AngleLearnResult(model, iterations, iterations < cfg.max_iters, total_adjustments)
 
 

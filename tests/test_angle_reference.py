@@ -2,20 +2,23 @@
 
 `reference_learn_angles` is the learner loop that measured every sum against
 its axis inline and recomputed the gold pair's sum once for every rival.
-`learn_angles` measures through `_offset` and recomputes the gold pair's
-offset only after an adjustment; it must return the same `AngleLearnResult`
-bit for bit, on the German plurals and on generated inventories. Both count
-a rival exactly as close as the gold sum as not beaten, at any margin.
+`learn_angles` holds labels as indices, keeps each label's sine and cosine
+until it moves, recomputes the gold pair's offset only after an adjustment
+and stops at a pass that ends where it began; it must return the same
+`AngleLearnResult` bit for bit, on the German plurals and on generated
+inventories. Both count a rival exactly as close as the gold sum as not
+beaten, at any margin.
 """
 from __future__ import annotations
 
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomorph import fixtures
+from geomorph import composition, fixtures
 from geomorph.composition import (
     HALF_PI,
     AngleLearnConfig,
@@ -109,6 +112,40 @@ def test_learner_matches_reference_on_german_plurals():
                 assert_same_as_reference(stems, affixes, gold, pf.plane, cfg, initial=initial)
 
 
+def test_learner_matches_reference_at_the_benchmark_op_seeds():
+    """`compose german_plurals --seed s` as the benchmark runs it, at its first 80 op seeds."""
+    pf = fixtures.load("german_plurals")
+    inputs = (pf.stem_labels(), pf.affix_labels(), pf.gold_forms(), pf.plane)
+    unconverged = []
+    for seed in range(100_000, 100_080):
+        args = (*inputs, AngleLearnConfig(seed=seed))
+        learned = outcome(learn_angles, *args, initial=pf.authored_angles())
+        assert learned == outcome(reference_learn_angles, *args, initial=pf.authored_angles())
+        if not learned[0].converged:
+            unconverged.append(seed)
+    assert unconverged == [100_040, 100_044, 100_078]  # each runs all 500 passes
+
+
+@pytest.mark.parametrize("max_iters", [20, 5_000])
+@pytest.mark.parametrize("margin", [0.05, 0.0])
+def test_a_pass_that_ends_where_it_began_reports_running_out_max_iters(
+    monkeypatch, margin, max_iters
+):
+    """Affix c is gold on both axes and d sits at its angle: each pass's x-axis steps undo
+    its y-axis steps, so every pass repeats the first and the learner stops after it."""
+    cfg = AngleLearnConfig(margin=margin, max_iters=max_iters)
+    case = (["a"], ["c", "d"], {("a", "x"): "c", ("a", "y"): "c"}, ("x", "y"), cfg)
+    initial = {"c": 0.3, "d": 0.3}
+    assert_same_as_reference(*case, initial=initial)
+    signs = []
+    monkeypatch.setattr(composition, "_sign", lambda x: signs.append(x) or _sign(x))
+    result = learn_angles(*case, initial=initial)
+    assert (result.iterations, result.converged, result.adjustments) == (
+        max_iters, False, 2 * max_iters)
+    assert result.model.entries["c"] == result.model.entries["d"] == 0.3
+    assert len(signs) == 6  # one pass: two adjustments, each taking two signs and the rival's
+
+
 @st.composite
 def inventories(draw):
     """Up to 3 stems and 4 affixes; a label may name a stem and an affix at once."""
@@ -133,6 +170,9 @@ def inventories(draw):
 # two affixes at one angle: every gold sum ties its rival exactly, at margin 0
 @example((["a"], ["c", "d"], {("a", "x"): "c", ("a", "y"): "c"},
           AngleLearnConfig(margin=0.0, max_iters=20), {"c": 0.3, "d": 0.3}))
+# one label as a stem and as an affix: it holds one angle, which both roles move
+@example((["c"], ["c", "d"], {("c", "x"): "c", ("c", "y"): "c"},
+          AngleLearnConfig(max_iters=20), {}))
 def test_learner_matches_reference_on_generated_inventories(case):
     stems, affixes, gold, cfg, initial = case
     assert_same_as_reference(stems, affixes, gold, ("x", "y"), cfg, initial=initial)

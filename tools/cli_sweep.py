@@ -13,10 +13,11 @@ file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
 into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
 `select` and `train` on the second as well as on the bundled flat fixtures,
 `compose` and `select` on each of the rest. The OUT_OPS write their reports
-to files in OUT_DIR, which `diff -r` compares too. The ops run in two
+to files in OUT_DIR, which `diff -r` compares too. The ops run in three
 groups, each followed by `report` on every non-empty JSON output of its ops:
-the second group is `compose` on the tied compositions TIES, run last so
-that no op number of the first group depends on it.
+the second group is `compose` on the tied compositions TIES and the third is
+LONG_RUN_OPS, each group run after the earlier ones so that no earlier op
+number depends on it.
 """
 from __future__ import annotations
 
@@ -111,6 +112,18 @@ _TIE = "FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind @ 0.0\nAFFIX a @ 0.5\n" \
     "AFFIX b @ -0.5\nAFFIX c @ 1.5707963267948966\nFORM Kind pl -> {}\nFORM Kind sg -> c\n"
 TIES = {"tie.par": _TIE.format("b"), "tie_gold_a.par": _TIE.format("a")}
 TIE_OPS = [(["compose", name, "--format", fmt], False) for name in TIES for fmt in ("json", "tsv")]
+# Angle learners that never converge: a German plurals seed that runs all 500
+# passes (exit 2), and a composition whose every pass ends where it began
+# (affix c is gold on both axes and d sits at its angle), once at 100,000 passes.
+OSCILLATION = "oscillation.par"
+_OSCILLATION = "FEATURE number: sg pl\nPLANE pl sg\nSTEM Kind\nAFFIX c @ 0.3\n" \
+    "AFFIX d @ 0.3\nFORM Kind pl -> c\nFORM Kind sg -> c\n"
+LONG_RUN_OPS = [
+    *((["compose", "german_plurals", "--seed", "100040", "--format", fmt], False)
+      for fmt in ("json", "tsv")),
+    *((["compose", OSCILLATION, "--format", fmt], False) for fmt in ("json", "tsv")),
+    (["compose", OSCILLATION, "--max-iters", "100000", "--format", "json"], False),
+]
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"),
@@ -219,10 +232,10 @@ def main(src_dir: str, out_dir: str) -> int:
     os.chdir(out_dir)
     Path(MULTI_FEATURE).write_text(multi_feature_text(), encoding="utf-8")
     Path(FLAT_16).write_text(flat_16_text(), encoding="utf-8")
-    for name, text in {**BAD_INPUTS, **TIES}.items():
+    for name, text in {**BAD_INPUTS, **TIES, OSCILLATION: _OSCILLATION}.items():
         Path(name).write_text(text, encoding="utf-8")
     n = renders = 0
-    for group in (ops(), TIE_OPS):
+    for group in (ops(), TIE_OPS, LONG_RUN_OPS):
         saved = []
         for argv, traced in group:
             if traced:
