@@ -197,10 +197,12 @@ def learn_angles(
     the axis is beaten regardless and is left where it is; unbounded retreat
     would let the configuration wander into the antipodal half-plane where
     sums degenerate. Convergence is a full pass with no adjustment. A pass
-    that adjusts yet ends with every angle bit for bit where it began would
-    repeat forever, so the run stops there with what running out `max_iters`
-    returns: the same angles, not converged, its adjustments counted for
-    every pass left. A label's sine and cosine are recomputed only when it moves.
+    that starts with every angle bit for bit where an earlier pass started
+    begins a cycle that would repeat until `max_iters`, so the run stops there
+    with what running out `max_iters` returns: the angles at that pass's phase
+    of the cycle, not converged, and the adjustments of every pass that would
+    run. A pass that ends where it began is the cycle of one pass. A label's
+    sine and cosine are recomputed only when it moves.
     """
     stems, affixes, gold = list(stems), list(affixes), dict(gold_forms)
     missing = [(stem, value) for stem in stems for value in plane if (stem, value) not in gold]
@@ -221,8 +223,19 @@ def learn_angles(
 
     step, margin, pi, tau = cfg.stepsize, cfg.margin, math.pi, 2 * math.pi
     total_adjustments = iterations = 0
+    # pass k starts from the k-th key of seen (whose value is k), after adjusted[k] adjustments
+    seen: dict[bytes, int] = {}
+    adjusted: list[int] = []
     while iterations < cfg.max_iters:  # reaching max_iters is not converging
         start, adjustments = array("d", th).tobytes(), 0
+        first = seen.setdefault(start, iterations)
+        if first < iterations:  # passes first .. iterations - 1 repeat until max_iters
+            full, rest = divmod(cfg.max_iters - iterations, iterations - first)
+            total_adjustments += (full * (total_adjustments - adjusted[first])
+                                  + adjusted[first + rest] - adjusted[first])
+            th, iterations = array("d", list(seen)[first + rest]), cfg.max_iters
+            break
+        adjusted.append(total_adjustments)
         for s, g, axis, rivals in targets:
             # _offset inlined: axis - atan2(...) is in (-2pi, 2pi), where fmod is exact
             dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
@@ -245,9 +258,6 @@ def learn_angles(
             break
         iterations += 1
         total_adjustments += adjustments
-        if array("d", th).tobytes() == start:  # every later pass repeats this one
-            total_adjustments += adjustments * (cfg.max_iters - iterations)
-            iterations = cfg.max_iters
     model = AngleModel(plane, {k: wrap_angle(v) for k, v in zip(ang, th)})
     return AngleLearnResult(model, iterations, iterations < cfg.max_iters, total_adjustments)
 

@@ -27,12 +27,14 @@ class ExponentMatrix:
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[1] != len(self.morphemes):
             raise ShapeMismatch("one column per morpheme required")
-        norms = np.linalg.norm(self.matrix, axis=0)
-        if (norms < UNIT_TOL).any():
-            raise ZeroColumn("zero exponent column")
+        m = self.matrix
+        # np.linalg.norm(m, axis=0) on real input minus its call overhead
+        norms = np.sqrt(np.add.reduce(m * m, axis=0))
         if not (np.abs(norms - 1.0) <= UNIT_TOL).all():  # NaN fails too
+            if (norms < UNIT_TOL).any():
+                raise ZeroColumn("zero exponent column")
             raise ShapeMismatch("exponent columns must be unit length")
-        _frozen(self.matrix)
+        _frozen(m)
 
     def column(self, morpheme: str) -> np.ndarray:
         return self.matrix[:, self.morphemes.index(morpheme)]
@@ -40,7 +42,10 @@ class ExponentMatrix:
 
 @dataclass(frozen=True)
 class SelectionTable:
-    """0/1 table naming one exponent per cell; an all-zero row marks a tie."""
+    """0/1 table naming one exponent per cell; an all-zero row marks a tie.
+
+    The matrix is frozen, so whether every row is one-hot is decided once.
+    """
 
     row_labels: tuple[ParadigmCell, ...]
     morphemes: tuple[str, ...]
@@ -50,13 +55,14 @@ class SelectionTable:
         m = self.matrix
         if m.shape != (len(self.row_labels), len(self.morphemes)):
             raise ShapeMismatch("selection table shape does not match labels")
-        if not ((m == 0.0) | (m == 1.0)).all() or (m.sum(axis=1) > 1).any():
+        if not ((m == 0.0) | (m == 1.0)).all() or ((sums := m.sum(axis=1)) > 1).any():
             raise ShapeMismatch("rows must be one-hot or all zero")
         _frozen(m)
+        object.__setattr__(self, "_one_hot", bool((sums == 1).all()))
 
     def require_one_hot(self):
         """Training targets must pick exactly one exponent per cell."""
-        if (self.matrix.sum(axis=1) != 1).any():
+        if not self._one_hot:
             raise ShapeMismatch("every row must select exactly one exponent")
         return self
 

@@ -16,11 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UpdateOverflow, ZeroColumn
-from .exponence import (
+from .errors import ShapeMismatch, UpdateOverflow, ZeroColumn
+# activations and evaluate are unused here, but the benchmark's tracer rebinds
+# both names in this module, so they stay imported
+from .exponence import (  # noqa: F401
     ExponentMatrix,
     SelectionTable,
     activations,
+    decide,
     evaluate,
     gold_wins,
 )
@@ -118,18 +121,29 @@ def train(
 ) -> tuple[ExponentMatrix, TrainTrace]:
     """Iterate delta passes until winners reproduce the gold table.
 
-    Non-convergence inside max_iters is a reported status, not an error.
+    Before every pass one `decide` on the product decides what `evaluate`
+    would: a row mismatches when its winner is not the gold exponent, a tied
+    row included, and the least margin is the Python `min` of the row
+    margins, as in `EvaluationReport.min_margin`. Non-convergence inside
+    max_iters is a reported status, not an error.
     """
+    if corners.matrix.shape[1] != expo.matrix.shape[0]:
+        raise ShapeMismatch("corner width and exponent height differ")
+    if corners.num_cells != gold.matrix.shape[0] or expo.morphemes != gold.morphemes:
+        raise ShapeMismatch("activation and gold tables do not line up")
+    gold.require_one_hot()
+    gold_idx = gold.matrix.argmax(axis=1)
     trace = TrainTrace()
     b = expo
     for it in range(cfg.max_iters + 1):
-        report = evaluate(activations(corners, b), gold)
+        winners, margins = decide(corners.matrix @ b.matrix)
+        mismatches = int(np.count_nonzero(winners != gold_idx))
         if it > 0:
             # record the state the previous pass produced
             trace.records.append(
-                TraceRecord(it, len(report.mismatches), report.min_margin, list(moved))
+                TraceRecord(it, mismatches, min(margins.tolist()), list(moved))
             )
-        if not report.mismatches:
+        if not mismatches:
             trace.converged = True
             trace.iterations = it
             return b, trace

@@ -4,10 +4,10 @@
 its axis inline and recomputed the gold pair's sum once for every rival.
 `learn_angles` holds labels as indices, keeps each label's sine and cosine
 until it moves, recomputes the gold pair's offset only after an adjustment
-and stops at a pass that ends where it began; it must return the same
-`AngleLearnResult` bit for bit, on the German plurals and on generated
-inventories. Both count a rival exactly as close as the gold sum as not
-beaten, at any margin.
+and stops at a pass that starts where an earlier one started; it must return
+the same `AngleLearnResult` bit for bit, on the German plurals and on
+generated inventories. Both count a rival exactly as close as the gold sum
+as not beaten, at any margin.
 """
 from __future__ import annotations
 
@@ -144,6 +144,27 @@ def test_a_pass_that_ends_where_it_began_reports_running_out_max_iters(
         max_iters, False, 2 * max_iters)
     assert result.model.entries["c"] == result.model.entries["d"] == 0.3
     assert len(signs) == 6  # one pass: two adjustments, each taking two signs and the rival's
+
+
+def test_a_cycle_of_many_passes_reports_running_out_max_iters(monkeypatch):
+    """`compose german_plurals --seed 100044`: pass 2224 starts where pass 2026 started, so
+    passes 2026-2223 (198 of them) would repeat until `max_iters`. The learner stops at
+    pass 2224 with the reference's result, at every phase of the cycle."""
+    pf = fixtures.load("german_plurals")
+    inputs = (pf.stem_labels(), pf.affix_labels(), pf.gold_forms(), pf.plane)
+    signs = {}
+    for max_iters in (2_026, 2_224, 2_225, 2_500, 3_000):
+        args = (*inputs, AngleLearnConfig(seed=100_044, max_iters=max_iters))
+        learned = outcome(learn_angles, *args, initial=pf.authored_angles())
+        assert learned == outcome(reference_learn_angles, *args, initial=pf.authored_angles())
+        assert (learned[0].iterations, learned[0].converged) == (max_iters, False)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(composition, "_sign", lambda x: calls.append(x) or _sign(x))
+            learn_angles(*args, initial=pf.authored_angles())
+        signs[max_iters] = len(calls)
+    # every run from 2,224 passes on stops after the same 2,224 passes
+    assert signs[2_224] == signs[2_225] == signs[2_500] == signs[3_000] > signs[2_026]
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""The delta pass against the per-cell numpy pass it replaced.
+"""The delta pass and the training loop against the numpy forms they replaced.
 
 `reference_delta_step` is the delta pass as it was written before its
 bookkeeping moved to Python scalars: a `gold_margins` test, `np.outer`,
@@ -6,6 +6,10 @@ bookkeeping moved to Python scalars: a `gold_margins` test, `np.outer`,
 all per cell. `delta_step` must reproduce it exactly: the same matrix
 bytes, the same moved columns and the same ZeroColumn, and `train` run on
 either pass must leave the same matrix and trace.
+
+`reference_train` is the training loop as it was written before it decided
+each pass with one `decide`: a full `evaluate(activations(...))` before
+every pass. `train` must reproduce it bit for bit, trace margins included.
 """
 import itertools
 from unittest import mock
@@ -16,8 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from geomorph import fixtures, parse_text, training
 from geomorph.errors import ZeroColumn
-from geomorph.exponence import ExponentMatrix, gold_margins, initial_exponents
-from geomorph.training import TrainConfig, delta_step, train
+from geomorph.exponence import (
+    ExponentMatrix,
+    activations,
+    evaluate,
+    gold_margins,
+    initial_exponents,
+)
+from geomorph.training import TrainConfig, TraceRecord, TrainTrace, delta_step, train
 
 FLAT_FIXTURES = ["english_weak_verb", "german_present", "german_full",
                  "latin_adjectives", "russian_class_one", "latin_deponent"]
@@ -50,6 +60,27 @@ def reference_delta_step(expo, corners, gold, cfg):
     return ExponentMatrix(expo.morphemes, b), moved
 
 
+def reference_train(expo, corners, gold, cfg):
+    """`train` with a full evaluation of the activations before every pass."""
+    trace = TrainTrace()
+    b = expo
+    for it in range(cfg.max_iters + 1):
+        report = evaluate(activations(corners, b), gold)
+        if it > 0:
+            trace.records.append(
+                TraceRecord(it, len(report.mismatches), report.min_margin, list(moved))
+            )
+        if not report.mismatches:
+            trace.converged = True
+            trace.iterations = it
+            return b, trace
+        if it == cfg.max_iters:
+            break
+        b, moved = delta_step(b, corners, gold, cfg)
+    trace.iterations = cfg.max_iters
+    return b, trace
+
+
 def step_outcome(step, expo, corners, gold, cfg):
     try:
         stepped, moved = step(expo, corners, gold, cfg)
@@ -58,12 +89,13 @@ def step_outcome(step, expo, corners, gold, cfg):
     return stepped.matrix.tobytes(), moved
 
 
-def train_outcome(expo, corners, gold, cfg):
+def train_outcome(expo, corners, gold, cfg, learner=train):
+    """The whole result; the records by `repr`, since == takes 0.0 for -0.0."""
     try:
-        trained, trace = train(expo, corners, gold, cfg)
+        trained, trace = learner(expo, corners, gold, cfg)
     except ZeroColumn:
         return ZeroColumn
-    return trained.matrix.tobytes(), trace.records, trace.converged, trace.iterations
+    return trained.matrix.tobytes(), repr(trace.records), trace.converged, trace.iterations
 
 
 def assert_same_as_reference(expo, corners, gold, cfg):
@@ -121,6 +153,24 @@ def test_delta_step_matches_reference_on_fixtures(name, eta, error_driven):
     corners, gold = pf.corner_matrix(), pf.gold_table()
     cfg = TrainConfig(eta=eta, error_driven=error_driven)
     assert_same_as_reference(initial_exponents(corners, gold), corners, gold, cfg)
+
+
+@settings(deadline=None)
+@given(delta_cases())
+def test_train_matches_reference_train_on_generated_paradigms(case):
+    assert train_outcome(*case) == train_outcome(*case, learner=reference_train)
+
+
+@pytest.mark.parametrize("max_iters", [1, 100])
+@pytest.mark.parametrize("error_driven", [True, False])
+@pytest.mark.parametrize("eta", ETAS)
+@pytest.mark.parametrize("name", FLAT_FIXTURES)
+def test_train_matches_reference_train_on_fixtures(name, eta, error_driven, max_iters):
+    pf = fixtures.load(name)
+    corners, gold = pf.corner_matrix(), pf.gold_table()
+    case = (initial_exponents(corners, gold), corners, gold,
+            TrainConfig(eta=eta, error_driven=error_driven, max_iters=max_iters))
+    assert train_outcome(*case) == train_outcome(*case, learner=reference_train)
 
 
 @pytest.mark.parametrize("error_driven", [True, False])

@@ -212,3 +212,47 @@ def test_selection_table_takes_only_zero_and_one(english, entry, ok):
     else:
         with pytest.raises(ShapeMismatch, match="one-hot or all zero"):
             SelectionTable(gold.row_labels, gold.morphemes, matrix)
+
+
+def _old_exponent_rule(matrix):
+    """The unit-length checks as `ExponentMatrix` made them on `np.linalg.norm`, one by one."""
+    norms = np.linalg.norm(matrix, axis=0)
+    if (norms < 1e-9).any():
+        return ZeroColumn
+    if not (np.abs(norms - 1.0) <= 1e-9).all():
+        return ShapeMismatch
+    return None
+
+
+@pytest.mark.parametrize(
+    "columns, expected",
+    [
+        ([[0.0, 0.0], [0.0, math.nan]], ZeroColumn),  # a zero column beside a NaN one
+        ([[math.nan, 0.0], [0.0, 0.0]], ZeroColumn),  # and before it
+        ([[0.0, 3.0], [0.0, 4.0]], ZeroColumn),  # a zero column beside a non-unit one
+        ([[0.0, 1.0], [1e-10, 0.0]], ZeroColumn),  # a norm under the tolerance
+        ([[math.nan, 1.0], [0.0, 0.0]], ShapeMismatch),  # NaN alone
+        ([[1.0 + 2e-9, 1.0], [0.0, 0.0]], ShapeMismatch),  # 2e-9 off unit
+        ([[1.0, 0.0], [0.0, 1.0 - 2e-9]], ShapeMismatch),
+        ([[1.0 + 9e-10, 1.0 - 9e-10], [0.0, 0.0]], None),  # within 1e-9 of unit
+        ([[0.6, 0.0], [0.8, -1.0]], None),
+    ],
+)
+def test_exponent_matrix_checks_match_the_norm_rule(columns, expected):
+    matrix = np.array(columns)
+    assert _old_exponent_rule(matrix) is expected
+    if expected is None:
+        ExponentMatrix(("a", "b"), matrix)
+    else:
+        with pytest.raises(expected):
+            ExponentMatrix(("a", "b"), matrix)
+
+
+def test_require_one_hot_rejects_a_tie_row(english):
+    gold = english.gold_table()
+    assert gold.require_one_hot() is gold
+    matrix = np.array(gold.matrix)
+    matrix[3] = 0.0  # an all-zero row: a tie, which selects nothing
+    table = SelectionTable(gold.row_labels, gold.morphemes, matrix)
+    with pytest.raises(ShapeMismatch, match="^every row must select exactly one exponent$"):
+        table.require_one_hot()

@@ -15,8 +15,8 @@ from geomorph import (
     parse_text,
     train,
 )
-from geomorph.errors import ZeroColumn
-from geomorph.exponence import ExponentMatrix
+from geomorph.errors import ShapeMismatch, ZeroColumn
+from geomorph.exponence import ExponentMatrix, SelectionTable
 
 # exponent vectors after the single corrective pass on the German paradigm
 GERMAN_AFTER_ONE_PASS = {
@@ -115,6 +115,23 @@ def test_trace_records_mismatch_counts(latin):
     assert trace.records[0].iteration == 1
     assert trace.records[-1].mismatches == 0
     assert all(r.updated for r in trace.records[:-1])
+
+
+def test_tables_that_do_not_line_up_are_rejected(english, russian):
+    corners, gold = english.corner_matrix(), english.gold_table()
+    expo = initial_exponents(corners, gold)
+    other = russian.gold_table()
+    tie = SelectionTable(gold.row_labels, gold.morphemes, np.zeros(gold.matrix.shape))
+    short = ExponentMatrix(expo.morphemes, np.array(expo.matrix[1:]) / np.linalg.norm(
+        expo.matrix[1:], axis=0))
+    for args, message in (
+        ((short, corners, gold), "corner width and exponent height differ"),
+        ((expo, corners, other), "activation and gold tables do not line up"),
+        ((expo, russian.corner_matrix(), gold), "corner width and exponent height differ"),
+        ((expo, corners, tie), "every row must select exactly one exponent"),
+    ):
+        with pytest.raises(ShapeMismatch, match=message):
+            train(*args)
 
 
 def test_config_validation():

@@ -23,7 +23,8 @@ load falls on both alike. The learner decides the calls:
 
 Both sides make each call back to back, the side that goes first alternating
 from call to call and from round to round; the run stops at the first call
-whose results differ. Each line printed is one round and shape: the summed
+whose results differ. Results are compared by `repr`, bit for bit: `==` would
+take 0.0 for -0.0. Each line printed is one round and shape: the summed
 call times of A and of B in ms and the ratio B / A, below 1 when B is faster.
 The last lines give each shape's median ratio. BLAS threads are pinned to 1,
 as in perfbench.
@@ -130,7 +131,7 @@ def run_rounds(sides: list[dict], rounds: int) -> None:
                     start = time.perf_counter()
                     learned[side] = calls[side]()
                     totals[side] += time.perf_counter() - start
-                if learned[0] != learned[1]:
+                if repr(learned[0]) != repr(learned[1]):
                     raise SystemExit(f"round {rnd}, {name}, call {k}: the two sides learned "
                                      "different results")
             a, b = (t * 1e3 for t in totals)
