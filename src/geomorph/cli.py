@@ -270,10 +270,21 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with code 1, bad input, as documented.
+
+    argparse exits with 2, which here means "not converged"; subparsers take this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; callers must not modify it."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="geomorph",
         description="Geometric inflectional morphology: selection, training, composition, rotation",
     )

@@ -8,6 +8,7 @@ exponent column alike so lengths and mutual angles never change.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -194,10 +195,13 @@ def _margin_positions(goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _worst_margins(flat: np.ndarray, goal_at: np.ndarray, rival_at: np.ndarray) -> np.ndarray:
     """Each lane's least goal-minus-rival difference in the raveled stack `flat` (inf if none).
 
-    Rounded g - r never rises with r, so on finite activations without -0.0
-    this is bit for bit the lane's least `gold_margins` value.
+    `flat` may hold several raveled stacks along its first axis; then each
+    gets a row of worst margins. Rounded g - r never rises with r, so on
+    finite activations without -0.0 this is bit for bit the lane's least
+    `gold_margins` value.
     """
-    return (flat.take(goal_at) - flat.take(rival_at)).min(axis=1, initial=math.inf)
+    pairs = flat.take(goal_at, axis=-1) - flat.take(rival_at, axis=-1)
+    return pairs.min(axis=-1, initial=math.inf)
 
 
 def _convergence_test(floor: float):
@@ -216,6 +220,7 @@ class RunRecord(NamedTuple):
 
 _BLOCK = 64  # sub-iterations whose random picks are drawn at once
 _WORDS = 3 * _BLOCK  # 32-bit words a lane short of picks draws at once
+_FINISH_LANES = 2  # lanes few enough to finish one at a time on Python floats
 
 
 def _choice_indices(rngs: list[random.Random], queue: np.ndarray, n: int, block: int):
@@ -259,14 +264,23 @@ def _learn_lanes(
     every live lane spends the same sub-iteration on the same cell, and the
     (lanes, dim, exponents) stack is rotated with array operations. One
     product `phi @ b` per sub-iteration serves both the margin check and the
-    next sub-iteration, which reads its cell's row of it. The check is the
-    least goal-minus-rival difference per lane at flat positions, then one
-    comparison chosen from the floor; the goal and rival columns of `b` are
-    read at flat positions too, all built once per lane drop. Per lane, the
-    arithmetic and the random picks are exactly those of a run on its own:
-    the picks are `rng.choice` of the cell's coordinates, drawn in blocks,
-    and the gain, cos, sin and sign test are one pass of `math` scalars per
-    sub-iteration. Converged lanes leave the stacks.
+    next sub-iteration, which reads its cell's row of it. The check runs once
+    per iteration, before the first and then over the stacked products of
+    the iteration's sub-iterations: the least goal-minus-rival difference per
+    lane and sub-iteration at flat positions, then one comparison chosen from
+    the floor. A lane's record is that of its first converged sub-iteration;
+    it takes the rest of the iteration's steps, which lie past its plan's
+    end, and leaves the stacks at the check, so lanes drop at most once per
+    iteration. The goal and rival columns of `b` are read at flat positions
+    too, all built once per lane drop. Per lane, the arithmetic and the
+    random picks are exactly those of a run on its own: the picks are
+    `rng.choice` of the cell's coordinates, drawn in blocks, and the gain,
+    cos, sin and sign test are one pass of `math` scalars per sub-iteration.
+
+    A sub-iteration costs about the same numpy calls for one lane as for
+    sixteen, so once at most `_FINISH_LANES` lanes are left, each finishes
+    alone in `_finish_lane`, handed the picks its blocks drew and did not use.
+    Their steps close the log as one stretch.
 
     Returns one record per lane and the sub-iteration log `_plans` reads.
     """
@@ -276,6 +290,7 @@ def _learn_lanes(
         raise ShapeMismatch("every cell needs the same, non-zero number of coordinates")
     coords = np.nonzero(phi)[1].reshape(cells, -1)  # each cell's coordinates, ascending
     converged = _convergence_test(cfg.margin_floor)
+    limit = cfg.max_iters * cells
     records: list[RunRecord | None] = [None] * len(rngs)
     live = np.arange(len(rngs))  # ids of the lanes still searching, ascending
     b = np.repeat(base[None], live.size, axis=0)
@@ -286,17 +301,21 @@ def _learn_lanes(
     log = []  # one _stretch per run of sub-iterations with unchanged live lanes
     steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
     done = 0  # sub-iterations every live lane has taken
+    checked = (phi @ b)[None]  # (sub-iterations, lanes, cells, exponents): products to check
     while True:
-        stack = phi @ b  # (lanes, cells, exponents): every live lane's activations
-        worst = _worst_margins(stack.reshape(-1), goal_at, rival_at)
-        ok = converged(worst)
-        # drop the lanes that just converged; the first pass builds the positions
-        if steps is None or np.count_nonzero(ok):
+        margins = _worst_margins(checked.reshape(len(checked), -1), goal_at, rival_at)
+        ok = converged(margins)
+        stack, worst = checked[-1], margins[-1]  # the activations the next sub-iteration reads
+        hit = ok.any(axis=0)
+        # drop the lanes that converged; the first pass builds the positions
+        if steps is None or hit.any():
             if steps:
                 log.append(_stretch(live, steps))
-            for lane, w in zip(live[ok].tolist(), worst[ok].tolist()):
-                records[lane] = RunRecord(True, -(-done // cells), w, done)
-            kept = (~ok).nonzero()[0]
+            gone, kept = hit.nonzero()[0], (~hit).nonzero()[0]
+            first = ok.argmax(axis=0)[gone]  # each converged lane's first converged product
+            for lane, d, w in zip(live[gone].tolist(), (done + 1 - len(checked) + first).tolist(),
+                                  margins[first, gone].tolist()):
+                records[lane] = RunRecord(True, -(-d // cells), w, d)
             live, b, stack, worst, queue = (x.take(kept, axis=0)
                                             for x in (live, b, stack, worst, queue))
             towards, rngs = towards.take(kept, axis=1), [rngs[k] for k in kept.tolist()]
@@ -310,53 +329,137 @@ def _learn_lanes(
             first_row = np.arange(0, rows.shape[0], dim)
             col_at = np.arange(0, b.size, morph).reshape(-1, dim)  # flat_b at (lane, axis, 0)
             goal_col = col_at + goal_of_cell[:, :, None]  # per cell, each lane's goal column
-        if not live.size or done == cfg.max_iters * cells:
+        if live.size <= _FINISH_LANES or done == limit:
             break
-        t = done % _BLOCK
-        if t == 0:
-            block = min(_BLOCK, cfg.max_iters * cells - done)
-            picks, queue = _choice_indices(rngs, queue, coords.shape[1], block)
-            towards = coords[(done + np.arange(block))[:, None] % cells, picks]
-        i, n = done % cells, live.size
-        acts = stack[:, i]
-        # masked argmaxes: equal values go to the lowest index, as plans expect
-        rival = (acts + hide_goal[:, i]).argmax(axis=1)
-        toward_rows = first_row + towards[t]
-        goal_x = flat_b.take(goal_col[i])  # (lanes, dim): each lane's goal column
-        advantage = goal_x - flat_b.take(col_at + rival[:, None])
-        advantage.put(toward_rows, -np.inf)
-        away = advantage.argmax(axis=1)
-        away_rows = first_row + away
-        # rows (away, toward, toward, away): the rows to rotate, then their partners
-        at = np.concatenate((away_rows, toward_rows, toward_rows, away_rows))
-        moved = at[: 2 * n]
-        x = rows.take(at, axis=0)
-        x_goal = goal_x.take(moved).tolist()  # the goal exponent's away, then toward coordinates
-        cos, sin, signed = [], [], []
-        for row, r, j, x_away, x_toward in zip(
-            acts.tolist(), rival.tolist(), goal_list[i], x_goal[:n], x_goal[n:]
-        ):
-            theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
-            c, s = math.cos(theta), math.sin(theta)
-            # counter-clockwise in the (away, toward) plane unless clockwise raises the
-            # intended exponent's toward-coordinate more; rotating by -s is that branch, exactly
-            s_goal, c_goal = s * x_away, c * x_toward
-            if not s_goal + c_goal >= c_goal - s_goal:
-                theta, s = -theta, -s
-            cos.append(c)
-            sin.append(s)
-            signed.append(theta)
-        # away rows become c * x_away - s * x_toward, toward rows c * x_toward + s * x_away
-        factors = np.array(cos + cos + [-v for v in sin] + sin + signed)
-        x *= factors[: 4 * n, None]
-        rows[moved] = x[: 2 * n] + x[2 * n :]
-        steps.append((away, towards[t], factors[4 * n :]))  # the signed angles ride along
-        done += 1
+        checked = np.empty((cells, *stack.shape))
+        for i, product in enumerate(checked):  # one iteration: sub-iteration i is on cell i
+            t = done % _BLOCK
+            if t == 0:
+                block = min(_BLOCK, limit - done)
+                picks, queue = _choice_indices(rngs, queue, coords.shape[1], block)
+                towards = coords[(done + np.arange(block))[:, None] % cells, picks]
+            n = live.size
+            acts = stack[:, i]
+            # masked argmaxes: equal values go to the lowest index, as plans expect
+            rival = (acts + hide_goal[:, i]).argmax(axis=1)
+            toward_rows = first_row + towards[t]
+            goal_x = flat_b.take(goal_col[i])  # (lanes, dim): each lane's goal column
+            advantage = goal_x - flat_b.take(col_at + rival[:, None])
+            advantage.put(toward_rows, -np.inf)
+            away = advantage.argmax(axis=1)
+            away_rows = first_row + away
+            # rows (away, toward, toward, away): the rows to rotate, then their partners
+            at = np.concatenate((away_rows, toward_rows, toward_rows, away_rows))
+            moved = at[: 2 * n]
+            x = rows.take(at, axis=0)
+            x_goal = goal_x.take(moved).tolist()  # the goal exponent's away, then toward coordinates
+            cos, sin, signed = [], [], []
+            for row, r, j, x_away, x_toward in zip(
+                acts.tolist(), rival.tolist(), goal_list[i], x_goal[:n], x_goal[n:]
+            ):
+                theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
+                c, s = math.cos(theta), math.sin(theta)
+                # counter-clockwise in the (away, toward) plane unless clockwise raises the
+                # intended exponent's toward-coordinate more; rotating by -s is that branch, exactly
+                s_goal, c_goal = s * x_away, c * x_toward
+                if not s_goal + c_goal >= c_goal - s_goal:
+                    theta, s = -theta, -s
+                cos.append(c)
+                sin.append(s)
+                signed.append(theta)
+            # away rows become c * x_away - s * x_toward, toward rows c * x_toward + s * x_away
+            factors = np.array(cos + cos + [-v for v in sin] + sin + signed)
+            x *= factors[: 4 * n, None]
+            rows[moved] = x[: 2 * n] + x[2 * n :]
+            steps.append((away, towards[t], factors[4 * n :]))  # the signed angles ride along
+            np.matmul(phi, b, out=product)
+            stack = product
+            done += 1
     if steps:
         log.append(_stretch(live, steps))
-    for lane, w in zip(live.tolist(), worst.tolist()):
-        records[lane] = RunRecord(False, cfg.max_iters, w, done)
+    if done == limit:
+        for lane, w in zip(live.tolist(), worst.tolist()):
+            records[lane] = RunRecord(False, cfg.max_iters, w, done)
+        return records, log
+    # hand each lane over with its picks in stream order: the current block's unused
+    # coordinates (none at a block boundary, where `towards` is the spent block), then
+    # its queued words, which index the coordinates of their cells
+    t, tails = done % _BLOCK, []
+    unused = towards[t:] if t else towards[:0]
+    for k, lane in enumerate(live.tolist()):
+        words = queue[k][queue[k] < coords.shape[1]]
+        cell = (done + len(unused) + np.arange(words.size)) % cells
+        picks = unused[:, k].tolist() + coords[cell, words].tolist()
+        records[lane], tail = _finish_lane(phi, b[k].tolist(), stack[k].tolist(),
+                                           goal_index[lane].tolist(), coords.tolist(), picks,
+                                           rngs[k], done, cfg)
+        tails.append(tail)
+    # one stretch for the finished lanes, the shorter steps padded past their plans' ends
+    log.append((live, *(np.array(list(itertools.zip_longest(*column, fillvalue=0)))
+                        for column in zip(*tails))))
     return records, log
+
+
+def _finish_lane(
+    phi: np.ndarray,
+    b: list[list[float]],
+    acts: list[list[float]],
+    goal: list[int],
+    coords: list[list[int]],
+    picks: list[int],
+    rng: random.Random,
+    done: int,
+    cfg: RotationLearnConfig,
+) -> tuple[RunRecord, tuple[list, list, list]]:
+    """Go on with one lane of `_learn_lanes` alone, on Python floats, from sub-iteration `done`.
+
+    `b` is the lane's configuration and `acts` its activations `phi @ b`,
+    both as lists of rows; `goal[c]` is the goal exponent of cell c and
+    `coords[c]` the cell's coordinates. The toward coordinates of the next
+    sub-iterations are `picks`, then `rng.choice` of the cell's coordinates,
+    which reads the words `_choice_indices` would. Every decision and every
+    rounding is the lockstep's: the rival and away are first maxima, as
+    `argmax` picks them; the rows rotate as `c * x + (-s) * y` and
+    `c * y + s * x`; and the activations are the rows of one 2-D product
+    `phi @ b` per sub-iteration, which rounds as the stacked product does and
+    as `activations` computes them. The worst margin is the least, over
+    cells, of the goal minus its largest rival: rounded g - r never rises
+    with r, so it is `_worst_margins`' least difference.
+
+    Returns the lane's record and its steps: away axes, toward axes and signed angles.
+    """
+    cells, converged = len(coords), _convergence_test(cfg.margin_floor)
+    steps = away_log, toward_log, theta_log = [], [], []
+    for done in range(done, cfg.max_iters * cells):
+        i = done % cells
+        row, j = acts[i], goal[i]
+        g, row[j] = row[j], -math.inf
+        r = row.index(max(row))
+        row[j] = g
+        theta = cfg.base_increment * sigmoid_gain(row[r], g)
+        c, s = math.cos(theta), math.sin(theta)
+        toward = picks[len(toward_log)] if len(toward_log) < len(picks) else rng.choice(coords[i])
+        advantage = [x[j] - x[r] for x in b]
+        advantage[toward] = -math.inf
+        away = advantage.index(max(advantage))
+        x_away, x_toward = b[away], b[toward]
+        s_goal, c_goal = s * x_away[j], c * x_toward[j]
+        if not s_goal + c_goal >= c_goal - s_goal:
+            theta, s = -theta, -s
+        b[away] = [c * x + -s * y for x, y in zip(x_away, x_toward)]
+        b[toward] = [c * y + s * x for x, y in zip(x_away, x_toward)]
+        away_log.append(away)
+        toward_log.append(toward)
+        theta_log.append(theta)
+        acts = (phi @ np.array(b)).tolist()
+        worst = math.inf
+        for row, j in zip(acts, goal):
+            g, row[j] = row[j], -math.inf
+            worst = min(worst, g - max(row))
+            row[j] = g
+        if converged(worst):
+            return RunRecord(True, -(-(done + 1) // cells), worst, done + 1), steps
+    return RunRecord(False, cfg.max_iters, worst, done + 1), steps
 
 
 def _stretch(live: np.ndarray, steps: list) -> tuple:
@@ -401,7 +504,8 @@ def learn_class_rotation(
     less. Convergence (checked after every sub-iteration) means the winners
     equal the target with the minimum margin at or above margin_floor.
 
-    This is the one-lane case of the lockstep search `learn_all_classes` runs.
+    This is the one-lane case of the lockstep search `learn_all_classes` runs,
+    so after the first check its lane finishes alone on Python floats.
     """
     if (base.morphemes != target.morphemes or target.row_labels != corners.row_labels
             or base.matrix.shape[0] != corners.matrix.shape[1]):

@@ -464,11 +464,29 @@ MISSING_PARADIGM = (
     SELECT_USAGE + "geomorph select: error: the following arguments are required: paradigm\n"
 )
 
+ROTATE_USAGE = """usage: geomorph rotate [-h] [--increment INCREMENT]
+                       [--margin-floor MARGIN_FLOOR] [--max-iters MAX_ITERS]
+                       [--runs RUNS] [--seed SEED] [--min-lexemes MIN_LEXEMES]
+                       [--plans] [--trace TRACE] [--format {tsv,json}]
+                       [--out OUT]
+                       paradigm
+"""
+
+RUNS_NOT_INT = ROTATE_USAGE + "geomorph rotate: error: argument --runs: invalid int value: 'x'\n"
+
+UNKNOWN_FLAG = (
+    "usage: geomorph [-h] {init,select,train,compose,rotate,report} ...\n"
+    "geomorph: error: unrecognized arguments: --bogus\n"
+)
+
 
 @pytest.mark.parametrize("argv, code, out, err", [
     (["--help"], 0, HELP, ""),
     (["select", "--help"], 0, SELECT_HELP, ""),
-    (["select"], 2, "", MISSING_PARADIGM),
+    # usage errors are bad input, exit 1; exit 2 means "not converged"
+    (["select"], 1, "", MISSING_PARADIGM),
+    (["rotate", "nuer_classes", "--runs", "x"], 1, "", RUNS_NOT_INT),
+    (["select", "english_weak_verb", "--bogus"], 1, "", UNKNOWN_FLAG),
     (["--help"], 0, HELP, ""),  # a second time, from the same process
 ])
 def test_help_and_usage_text(argv, code, out, err, capsys, monkeypatch):

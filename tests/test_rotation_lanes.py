@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from geomorph import fixtures, parse_text
+from geomorph import fixtures, parse_text, rotations
 from geomorph.exponence import activations, evaluate, gold_margins
 from geomorph.rotations import (
     ClassRunStats,
@@ -21,7 +21,9 @@ from geomorph.rotations import (
     RotationLearnResult,
     RotationPlan,
     RunRecord,
+    _BLOCK,
     _choice_indices,
+    _finish_lane,
     apply_rotation,
     base_configuration,
     class_of_base,
@@ -279,3 +281,85 @@ def test_single_lane_call_matches_a_sequential_run(label, seed, max_iters):
     want = sequential_learn(base, inv.corners, inv.classes[label], cfg, label,
                             random.Random(seed))
     assert got == want
+
+
+@pytest.fixture
+def handovers(monkeypatch):
+    """(sub-iteration, picks passed on) of every lane `_learn_lanes` hands to `_finish_lane`."""
+    calls = []
+
+    def spy(phi, b, acts, goal, coords, picks, rng, done, cfg):
+        calls.append((done, len(picks)))
+        return finish(phi, b, acts, goal, coords, picks, rng, done, cfg)
+
+    finish = rotations._finish_lane
+    monkeypatch.setattr(rotations, "_finish_lane", spy)
+    return calls
+
+
+# Cases of GRID whose last lanes finish alone: (seed, runs, max_iters, margin_floor),
+# the sub-iteration of the hand-over and how many lanes it hands over
+HANDOVERS = [
+    ((0, 1, 500, 0.02), 192, 2),  # at a block boundary: every pick passed on is a queued word
+    ((1, 1, 500, 0.02), 156, 2),  # mid-block: the block's unused picks, then queued words
+    ((2, 1, 500, 0.02), 186, 1),
+    ((3, 3, 500, 0.02), 222, 2),
+]
+
+
+@pytest.mark.parametrize("case,done,lanes", HANDOVERS)
+def test_last_lanes_finish_alone_as_sequential_runs(case, done, lanes, handovers):
+    seed, runs, max_iters, floor = case
+    cfg = RotationLearnConfig(margin_floor=floor, max_iters=max_iters, runs=runs, seed=seed)
+    _assert_lanes_match(None, cfg)
+    assert [d for d, _ in handovers] == [done] * lanes
+    # each lane gets more picks than its block has left, so its queued words too
+    assert all(picks > -done % _BLOCK for _, picks in handovers)
+
+
+def test_one_check_per_iteration_records_the_first_converged_sub_iteration(handovers):
+    cells = 6
+    cfg = RotationLearnConfig(max_iters=500, seed=0)
+    stats, _ = _assert_lanes_match(None, cfg)
+    handed = handovers[0][0]
+    in_lockstep = {r.rotations % cells for s in stats for r in s.run_records
+                   if r.converged and 0 < r.rotations <= handed}
+    # lanes converged at the first, a middle and the last sub-iteration of an iteration
+    assert {1, 3, 0} <= in_lockstep
+    # at max_iters 13, a lane of seed 2 converges at the last sub-iteration the search has
+    handovers.clear()
+    cfg = RotationLearnConfig(max_iters=13, seed=2)
+    stats, _ = _assert_lanes_match(None, cfg)
+    assert not handovers
+    assert any(r == RunRecord(True, 13, r.min_margin, 13 * cells)
+               for s in stats for r in s.run_records)
+
+
+@pytest.mark.parametrize("name", MULTI_FEATURE)
+def test_lanes_match_with_three_or_more_features_at_500_iterations(name, handovers):
+    stats, _ = _assert_lanes_match(MULTI_FEATURE[name], RotationLearnConfig(max_iters=500))
+    assert len(handovers) == 2
+    assert any(not r.converged for s in stats for r in s.run_records)
+
+
+@pytest.mark.parametrize("done,drawn,max_iters", [(100, 0, 500), (100, 5, 500), (100, 5, 20)])
+def test_finish_lane_goes_on_from_a_mid_run_state(done, drawn, max_iters):
+    # class VIII at seed 0 converges after 160 sub-iterations; at max_iters 20 it stops at 120
+    inv, base = _inventory(None)
+    ci = inv.labels().index("VIII")
+    want = _reference_run(None, 0, max_iters, 0.02, ci, 0)
+    phi = inv.corners.matrix
+    coords = [np.flatnonzero(row).tolist() for row in phi]
+    rng = random.Random(ci * 1_009)
+    for k in range(done):
+        rng.choice(coords[k % len(coords)])
+    picks = [rng.choice(coords[k % len(coords)]) for k in range(done, done + drawn)]
+    b = apply_rotation(base, want.plan.rotations[:done]).matrix
+    goal = inv.classes["VIII"].matrix.argmax(axis=1).tolist()
+    record, steps = _finish_lane(phi, b.tolist(), (phi @ b).tolist(), goal, coords, picks, rng,
+                                 done, RotationLearnConfig(max_iters=max_iters))
+    assert record == RunRecord(want.converged, want.iterations, want.min_margin,
+                               len(want.plan.rotations))
+    assert record.min_margin.hex() == want.min_margin.hex()
+    assert steps == tuple(list(column[done:])
+                          for column in (want.plan.axis_i, want.plan.axis_j, want.plan.theta))

@@ -13,11 +13,11 @@ file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
 into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
 `select` and `train` on the second as well as on the bundled flat fixtures,
 `compose` and `select` on each of the rest. The OUT_OPS write their reports
-to files in OUT_DIR, which `diff -r` compares too. The ops run in three
+to files in OUT_DIR, which `diff -r` compares too. The ops run in four
 groups, each followed by `report` on every non-empty JSON output of its ops:
-the second group is `compose` on the tied compositions TIES and the third is
-LONG_RUN_OPS, each group run after the earlier ones so that no earlier op
-number depends on it.
+the second group is `compose` on the tied compositions TIES, the third is
+LONG_RUN_OPS and the fourth LANE_TAIL_OPS, each group run after the earlier
+ones so that no earlier op number depends on it.
 """
 from __future__ import annotations
 
@@ -123,6 +123,18 @@ LONG_RUN_OPS = [
       for fmt in ("json", "tsv")),
     *((["compose", OSCILLATION, "--format", fmt], False) for fmt in ("json", "tsv")),
     (["compose", OSCILLATION, "--max-iters", "100000", "--format", "json"], False),
+]
+# Rotation searches whose last lanes run long after the others converged: the
+# full batch, whose JSON report with plans is 231,890 bytes; the default shape
+# (one run, 500 iterations) at seeds 0 and 9, where Nuer classes I and XIII take
+# 1,335 to 2,529 sub-iterations and every other class fewer than 200; and the
+# four-feature class file to 500 iterations, three runs a class.
+LANE_TAIL_OPS = [
+    (["rotate", "nuer_classes", "--runs", "100", "--plans", "--format", "json"], False),
+    *((["rotate", "nuer_classes", "--seed", seed, "--plans", "--format", "json"], True)
+      for seed in ("0", "9")),
+    (["rotate", MULTI_FEATURE, "--runs", "3", "--max-iters", "500", "--plans", "--format",
+      "json"], True),
 ]
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
@@ -235,7 +247,7 @@ def main(src_dir: str, out_dir: str) -> int:
     for name, text in {**BAD_INPUTS, **TIES, OSCILLATION: _OSCILLATION}.items():
         Path(name).write_text(text, encoding="utf-8")
     n = renders = 0
-    for group in (ops(), TIE_OPS, LONG_RUN_OPS):
+    for group in (ops(), TIE_OPS, LONG_RUN_OPS, LANE_TAIL_OPS):
         saved = []
         for argv, traced in group:
             if traced:

@@ -9,8 +9,10 @@ load falls on both alike. The learner decides the calls:
 
 - rotate: `learn_all_classes` on the bundled Nuer classes at the shape of
   perfbench's `nuer_rotate` op (`--runs 1 --max-iters 50`) at its op seeds
-  SEED * 100000 + k for k < OPS, then one call at `--runs 100` (seed 0). The
-  sides must learn the same records and plans.
+  SEED * 100000 + k for k < OPS, then one call at `--runs 100` (seed 0), then
+  the CLI's default shape (`--runs 1 --max-iters 500`) at the op seeds, where
+  a slow class keeps one or two lanes searching longest. The sides must learn
+  the same records and plans.
 - train: `train` with the default settings, from count initialization as the
   `train` command starts (not timed), on the 40 pool paradigms of perfbench's
   `synthetic_train` workload at seed SEED, generated by this checkout's
@@ -74,7 +76,9 @@ def rotate_calls(pkg, args) -> dict:
 
     return {"nuer_rotate": [functools.partial(call, s, runs=1, max_iters=50)
                             for s in op_seeds(args)],
-            "runs_100": [functools.partial(call, 0, runs=100)]}
+            "runs_100": [functools.partial(call, 0, runs=100)],
+            "cli_default": [functools.partial(call, s, runs=1, max_iters=500)
+                            for s in op_seeds(args)]}
 
 
 @functools.cache
