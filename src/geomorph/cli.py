@@ -252,14 +252,13 @@ def cmd_rotate(args, pf, config):
     ]
     sections = {"base_class": base_label, "classes": rows}
     if args.plans:
-        sections["plans"] = [
-            {
-                "class": s.class_label,
-                "converged": s.first_plan is not None,
-                "rotations": s.first_plan.as_dicts() if s.first_plan else [],
-            }
-            for s in stats
-        ]
+        plans = [s.first_plan for s in stats]
+        sections["plans"] = rpt.records({
+            "class": [s.class_label for s in stats],
+            "converged": [plan is not None for plan in plans],
+            "rotations": [rpt.records({"i": plan.axis_i, "j": plan.axis_j, "theta": plan.theta}
+                                      if plan else {}) for plan in plans],
+        })
     all_reached = all(s.converged_runs > 0 for s in stats)
     return sections, EXIT_OK if all_reached else EXIT_NOT_CONVERGED, records
 

@@ -59,12 +59,6 @@ class RotationPlan:
     def rotations(self) -> tuple[PlaneRotation, ...]:
         return tuple(map(PlaneRotation, self.axis_i, self.axis_j, self.theta))
 
-    def as_dicts(self):
-        return [
-            {"i": i, "j": j, "theta": theta}
-            for i, j, theta in zip(self.axis_i, self.axis_j, self.theta)
-        ]
-
 
 def apply_rotation(expo: ExponentMatrix, rotations) -> ExponentMatrix:
     """Apply a sequence of plane rotations in order to every exponent column."""

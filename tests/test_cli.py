@@ -14,7 +14,7 @@ from geomorph import report as rpt
 from geomorph.cli import main
 from geomorph.paradigm import ParadigmFile
 from geomorph.seeds import seeded_random
-from test_report import built_in
+from test_report import built_in, loaded
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval
 
@@ -269,6 +269,18 @@ def test_rotate_emits_plans_when_asked(capsys):
     assert {"i", "j", "theta"} <= set(some["rotations"][0])
 
 
+def test_rotate_tsv_plans_render_the_json_report(tmp_path, capsys):
+    argv = ["rotate", "nuer_classes", "--runs", "2", "--seed", "4", "--plans"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    tsv_code, tsv, _ = run(capsys, *argv, "--format", "tsv")
+    assert code == tsv_code == 0
+    assert "# plans" in tsv and tsv == rpt.to_tsv(rpt.loads(out))
+    for fmt, text in (("json", out), ("tsv", tsv)):
+        path = tmp_path / f"report.{fmt}"
+        assert main([*argv, "--format", fmt, "--out", str(path)]) == 0
+        assert path.read_bytes() == text.encode("utf-8")
+
+
 def test_rotate_single_exponent_class_file(tmp_path, capsys):
     par = tmp_path / "one.par"
     par.write_text(
@@ -360,8 +372,9 @@ JSON_COMMANDS = (
 
 @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
 def test_json_reports_are_indented_json_dumps(capsys, argv, tmp_path, monkeypatch):
-    # every report and trace record is built-in all the way down: json.dumps
-    # would also take numpy's float64, a float subclass, without complaint
+    # every report and trace record is built-in all the way down, a pre-rendered
+    # section once loaded: json.dumps would also take numpy's float64, a float
+    # subclass, without complaint
     reports, records = [], []
     emit, dumps_line = cli.emit, rpt.dumps_line
     monkeypatch.setattr(cli, "emit",
@@ -375,7 +388,8 @@ def test_json_reports_are_indented_json_dumps(capsys, argv, tmp_path, monkeypatc
     # reproduces what was written for the original values
     assert out.endswith("\n") and "\n" not in out[:-1]
     assert rpt.dumps(json.loads(out)) == out
-    assert len(reports) == 1 and built_in(reports[0])
+    assert len(reports) == 1 and built_in(loaded(reports[0]))
+    assert out == json.dumps(loaded(reports[0]), sort_keys=True, ensure_ascii=False) + "\n"
     assert len(records) == (len(trace.read_text().splitlines()) if traced else 0)
     assert all(map(built_in, records))
 

@@ -20,6 +20,7 @@ from geomorph import (
     sigmoid_gain,
     weighted_counts,
 )
+from geomorph import report as rpt
 from geomorph.errors import BadAxis, EmptyFilter, ShapeMismatch
 from geomorph.exponence import SelectionTable
 from geomorph.features import CornerMatrix
@@ -259,12 +260,13 @@ def test_learned_plan_serializes(nuer):
     assert res.plan.rotations
     for rot in res.plan.rotations:
         assert type(rot.axis_i) is int and type(rot.axis_j) is int
-    assert json.loads(json.dumps(res.plan.as_dicts())) == res.plan.as_dicts()
-    # the plan is held as columns; rows and rotations are read off them
+    # the plan is held as columns; the report writes its rows straight from them
     plan = res.plan
     assert len(plan.axis_i) == len(plan.axis_j) == len(plan.theta) == len(plan.rotations)
-    assert plan.as_dicts() == [{"i": r.axis_i, "j": r.axis_j, "theta": r.theta}
-                               for r in plan.rotations]
+    rows = [{"i": r.axis_i, "j": r.axis_j, "theta": r.theta} for r in plan.rotations]
+    text = rpt.records({"i": plan.axis_i, "j": plan.axis_j, "theta": plan.theta}).text
+    assert text == json.dumps(rows, sort_keys=True, ensure_ascii=False)
+    assert json.loads(text) == rows
 
 
 def test_learner_needs_one_coordinate_count_for_every_cell(nuer):
