@@ -18,10 +18,22 @@ groups, each followed by `report` on every non-empty JSON output of its ops:
 the second group is `compose` on the tied compositions TIES, the third is
 LONG_RUN_OPS and the fourth LANE_TAIL_OPS, each group run after the earlier
 ones so that no earlier op number depends on it.
+
+Last, the sweep writes MANIFEST (`MANIFEST.sha256`) into OUT_DIR: a first line
+`# numpy <version>, <BLAS name> <version>`, then one `<sha256>  <file>` line
+per file in OUT_DIR but the manifest, sorted by name. Output bytes depend on
+how the BLAS build rounds, so the header names it. `tools/cli_sweep.sha256` is
+the manifest of the committed tree; a change that moves outputs commits the
+new manifest there, and the file's diff lists exactly the outputs that moved:
+
+    python tools/cli_sweep.py src /tmp/sweep
+    cp /tmp/sweep/MANIFEST.sha256 tools/cli_sweep.sha256
+    git diff tools/cli_sweep.sha256
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -220,6 +232,21 @@ def flat_16_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+MANIFEST = "MANIFEST.sha256"
+
+
+def write_manifest() -> int:
+    """Write MANIFEST into the working directory; return how many files it lists."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    names = sorted(path.name for path in Path().iterdir() if path.name != MANIFEST)
+    lines = [f"# numpy {np.__version__}, {blas['name']} {blas['version']}"]
+    lines += [f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}" for name in names]
+    Path(MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(names)
+
+
 def run(main, n: int, argv: list[str]) -> str:
     """Run op `n`, write its outputs, return its stdout."""
     out, err = io.StringIO(), io.StringIO()
@@ -263,7 +290,8 @@ def main(src_dir: str, out_dir: str) -> int:
             n += 1
         renders += len(saved)
     print(f"{n} ops, {renders} report re-renders, "
-          f"{len(list(Path().glob('*.trace')))} trace files in {out_dir}")
+          f"{len(list(Path().glob('*.trace')))} trace files, "
+          f"{write_manifest()} files in {out_dir}/{MANIFEST}")
     return 0
 
 
