@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +26,6 @@ from .exponence import (
     select_winners,
 )
 from .features import CornerMatrix, _frozen
-from .seeds import seeded_random
 
 
 @dataclass(frozen=True)
@@ -212,49 +210,40 @@ class RunRecord(NamedTuple):
     rotations: int
 
 
-_BLOCK = 64  # sub-iterations whose random picks are drawn at once
-_WORDS = 3 * _BLOCK  # 32-bit words a lane short of picks draws at once
+_BLOCK = 64  # sub-iterations whose toward picks are computed at once
 _FINISH_LANES = 2  # lanes few enough to finish one at a time on Python floats
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment, the step of a pick stream
+_MASK = 2**64 - 1
 
 
-def _choice_indices(rngs: list[random.Random], queue: np.ndarray, n: int, block: int):
-    """The next `block` values of each lane's `rng.choice(range(n))` stream.
+def _mix(z):
+    """splitmix64's output function: of a Python int below 2**64, or of a uint64 array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
 
-    `Random.choice` of n items takes 32-bit Mersenne words, each shifted right
-    by 32 - n.bit_length(), until one is below n; `getrandbits(32 * w)` returns
-    the next w words, least significant first. So a lane draws its words in
-    blocks, and `queue` (lanes, k) holds every lane's shifted words not used
-    yet: the accepted ones first, in stream order, then values >= n.
-    Returns the picks as a (block, lanes) array and the queue left over.
+
+def _pick(key, k, n):
+    """Which of a cell's n coordinates sub-iteration k of the run keyed by `key` turns toward.
+
+    Python ints, or uint64 arrays elementwise: numpy wraps their sums and
+    products mod 2**64 silently (uint64 scalars would warn).
     """
-    shift = 32 - n.bit_length()
-    while True:
-        have = np.count_nonzero(queue < n, axis=1)
-        short = np.flatnonzero(have < block)
-        if not short.size:
-            return queue[:, :block].T, queue[:, block : have.max()]
-        words = b"".join([rngs[lane].getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little")
-                          for lane in short.tolist()])
-        drawn = np.full((len(rngs), _WORDS), n, dtype=np.uint32)
-        drawn[short] = np.frombuffer(words, dtype="<u4").reshape(short.size, _WORDS) >> shift
-        queue = np.concatenate((queue, drawn), axis=1)
-        # move each lane's accepted words to the front, keeping their order
-        order = np.argsort(queue >= n, axis=1, kind="stable")
-        queue = queue.take(order + np.arange(0, queue.size, queue.shape[1])[:, None])
+    return _mix((key + k * _GAMMA) & _MASK) % n
 
 
 def _learn_lanes(
     base: np.ndarray,
     phi: np.ndarray,
     goals: np.ndarray,
-    rngs: list[random.Random],
+    keys: list[int],
     cfg: RotationLearnConfig,
 ) -> tuple[list[RunRecord], list]:
     """Run the rotation search of `learn_class_rotation` for many lanes in lockstep.
 
     A lane is one run towards one target: its own copy of `base`, its own
-    goal mask `goals[lane]` (cells x exponents) and its own random stream
-    `rngs[lane]`. Lanes share the corner matrix `phi` and the cell order, so
+    goal mask `goals[lane]` (cells x exponents) and its own pick stream key
+    `keys[lane]`. Lanes share the corner matrix `phi` and the cell order, so
     every live lane spends the same sub-iteration on the same cell, and the
     (lanes, dim, exponents) stack is rotated with array operations. One
     product `phi @ b` per sub-iteration serves both the margin check and the
@@ -267,14 +256,15 @@ def _learn_lanes(
     end, and leaves the stacks at the check, so lanes drop at most once per
     iteration. The goal and rival columns of `b` are read at flat positions
     too, all built once per lane drop. Per lane, the arithmetic and the
-    random picks are exactly those of a run on its own: the picks are
-    `rng.choice` of the cell's coordinates, drawn in blocks, and the gain,
-    cos, sin and sign test are one pass of `math` scalars per sub-iteration.
+    random picks are exactly those of a run on its own: sub-iteration k
+    turns toward coordinate `_pick(key, k, n)` of the cell's n, computed for
+    every live lane and `_BLOCK` sub-iterations at once, and the gain, cos,
+    sin and sign test are one pass of `math` scalars per sub-iteration.
 
     A sub-iteration costs about the same numpy calls for one lane as for
     sixteen, so once at most `_FINISH_LANES` lanes are left, each finishes
-    alone in `_finish_lane`, handed the picks its blocks drew and did not use.
-    Their steps close the log as one stretch.
+    alone in `_finish_lane`, which goes on with its picks from the
+    sub-iteration reached. Their steps close the log as one stretch.
 
     Returns one record per lane and the sub-iteration log `_plans` reads.
     """
@@ -285,12 +275,12 @@ def _learn_lanes(
     coords = np.nonzero(phi)[1].reshape(cells, -1)  # each cell's coordinates, ascending
     converged = _convergence_test(cfg.margin_floor)
     limit = cfg.max_iters * cells
-    records: list[RunRecord | None] = [None] * len(rngs)
-    live = np.arange(len(rngs))  # ids of the lanes still searching, ascending
+    records: list[RunRecord | None] = [None] * len(keys)
+    live = np.arange(len(keys))  # ids of the lanes still searching, ascending
+    keys = np.array(keys, dtype=np.uint64)
     b = np.repeat(base[None], live.size, axis=0)
     goal_index, (goal_at, rival_at) = goals.argmax(axis=2), _margin_positions(goals)
     no_goal = np.where(goals, -np.inf, 0.0)  # added to activations, it hides the goals
-    queue = np.empty((live.size, 0), dtype=np.uint32)  # per lane, drawn words not used yet
     towards = np.empty((0, live.size), dtype=coords.dtype)  # toward coordinates, (block, lanes)
     log = []  # one _stretch per run of sub-iterations with unchanged live lanes
     steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
@@ -310,9 +300,9 @@ def _learn_lanes(
             for lane, d, w in zip(live[gone].tolist(), (done + 1 - len(checked) + first).tolist(),
                                   margins[first, gone].tolist()):
                 records[lane] = RunRecord(True, -(-d // cells), w, d)
-            live, b, stack, worst, queue = (x.take(kept, axis=0)
-                                            for x in (live, b, stack, worst, queue))
-            towards, rngs = towards.take(kept, axis=1), [rngs[k] for k in kept.tolist()]
+            live, b, stack, worst, keys = (x.take(kept, axis=0)
+                                           for x in (live, b, stack, worst, keys))
+            towards = towards.take(kept, axis=1)
             steps = []
             # kept lane k moves from position kept[k] of the stacks to position k
             shift = (np.arange(live.size) - kept)[:, None] * (cells * morph)
@@ -329,9 +319,8 @@ def _learn_lanes(
         for i, product in enumerate(checked):  # one iteration: sub-iteration i is on cell i
             t = done % _BLOCK
             if t == 0:
-                block = min(_BLOCK, limit - done)
-                picks, queue = _choice_indices(rngs, queue, coords.shape[1], block)
-                towards = coords[(done + np.arange(block))[:, None] % cells, picks]
+                k = np.arange(done, min(done + _BLOCK, limit), dtype=np.uint64)[:, None]
+                towards = coords[k % cells, _pick(keys, k, coords.shape[1])]
             n = live.size
             acts = stack[:, i]
             # masked argmaxes: equal values go to the lowest index, as plans expect
@@ -375,18 +364,11 @@ def _learn_lanes(
         for lane, w in zip(live.tolist(), worst.tolist()):
             records[lane] = RunRecord(False, cfg.max_iters, w, done)
         return records, log
-    # hand each lane over with its picks in stream order: the current block's unused
-    # coordinates (none at a block boundary, where `towards` is the spent block), then
-    # its queued words, which index the coordinates of their cells
-    t, tails = done % _BLOCK, []
-    unused = towards[t:] if t else towards[:0]
-    for k, lane in enumerate(live.tolist()):
-        words = queue[k][queue[k] < coords.shape[1]]
-        cell = (done + len(unused) + np.arange(words.size)) % cells
-        picks = unused[:, k].tolist() + coords[cell, words].tolist()
+    tails = []
+    for k, (lane, key) in enumerate(zip(live.tolist(), keys.tolist())):
         records[lane], tail = _finish_lane(phi, b[k].tolist(), stack[k].tolist(),
-                                           goal_index[lane].tolist(), coords.tolist(), picks,
-                                           rngs[k], done, cfg)
+                                           goal_index[lane].tolist(), coords.tolist(), key,
+                                           done, cfg)
         tails.append(tail)
     # one stretch for the finished lanes, the shorter steps padded past their plans' ends
     log.append((live, *(np.array(list(itertools.zip_longest(*column, fillvalue=0)))
@@ -400,8 +382,7 @@ def _finish_lane(
     acts: list[list[float]],
     goal: list[int],
     coords: list[list[int]],
-    picks: list[int],
-    rng: random.Random,
+    key: int,
     done: int,
     cfg: RotationLearnConfig,
 ) -> tuple[RunRecord, tuple[list, list, list]]:
@@ -409,16 +390,16 @@ def _finish_lane(
 
     `b` is the lane's configuration and `acts` its activations `phi @ b`,
     both as lists of rows; `goal[c]` is the goal exponent of cell c and
-    `coords[c]` the cell's coordinates. The toward coordinates of the next
-    sub-iterations are `picks`, then `rng.choice` of the cell's coordinates,
-    which reads the words `_choice_indices` would. Every decision and every
-    rounding is the lockstep's: the rival and away are first maxima, as
-    `argmax` picks them; the rows rotate as `c * x + (-s) * y` and
-    `c * y + s * x`; and the activations are the rows of one 2-D product
-    `phi @ b` per sub-iteration, which rounds as the stacked product does and
-    as `activations` computes them. The worst margin is the least, over
-    cells, of the goal minus its largest rival: rounded g - r never rises
-    with r, so it is `_worst_margins`' least difference.
+    `coords[c]` the cell's coordinates. Sub-iteration k turns toward
+    coordinate `_pick(key, k, n)` of its cell's n, as in the lockstep, so
+    only the key is handed over. Every decision and every rounding is the
+    lockstep's: the rival and away are first maxima, as `argmax` picks them;
+    the rows rotate as `c * x + (-s) * y` and `c * y + s * x`; and the
+    activations are the rows of one 2-D product `phi @ b` per sub-iteration,
+    which rounds as the stacked product does and as `activations` computes
+    them. The worst margin is the least, over cells, of the goal minus its
+    largest rival: rounded g - r never rises with r, so it is
+    `_worst_margins`' least difference.
 
     Returns the lane's record and its steps: away axes, toward axes and signed angles.
     """
@@ -432,7 +413,7 @@ def _finish_lane(
         row[j] = g
         theta = cfg.base_increment * sigmoid_gain(row[r], g)
         c, s = math.cos(theta), math.sin(theta)
-        toward = picks[len(toward_log)] if len(toward_log) < len(picks) else rng.choice(coords[i])
+        toward = coords[i][_pick(key, done, len(coords[i]))]
         advantage = [x[j] - x[r] for x in b]
         advantage[toward] = -math.inf
         away = advantage.index(max(advantage))
@@ -498,15 +479,17 @@ def learn_class_rotation(
     less. Convergence (checked after every sub-iteration) means the winners
     equal the target with the minimum margin at or above margin_floor.
 
-    This is the one-lane case of the lockstep search `learn_all_classes` runs,
-    so after the first check its lane finishes alone on Python floats.
+    The pick of sub-iteration k is `_pick(key, k, n)` with the run's key
+    `_mix(cfg.seed mod 2**64)`. This is the one-lane case of the lockstep
+    search `learn_all_classes` runs, so after the first check its lane
+    finishes alone on Python floats.
     """
     if (base.morphemes != target.morphemes or target.row_labels != corners.row_labels
             or base.matrix.shape[0] != corners.matrix.shape[1]):
         raise ShapeMismatch("base, corners and target must agree on morphemes, cells and axes")
     target.require_one_hot()
     (record,), log = _learn_lanes(
-        base.matrix, corners.matrix, (target.matrix == 1.0)[None], [seeded_random(cfg.seed)], cfg
+        base.matrix, corners.matrix, (target.matrix == 1.0)[None], [_mix(cfg.seed & _MASK)], cfg
     )
     (plan,) = _plans(log, [(0, record.rotations, class_label)])
     return RotationLearnResult(plan, record.iterations, record.converged, record.min_margin)
@@ -548,10 +531,10 @@ def learn_all_classes(
     base = base_configuration(inv, min_lexemes)
     base_label = class_of_base(base, inv)
     goals = np.stack([inv.classes[label].matrix == 1.0 for label in labels])
-    rngs = [seeded_random(run_seed(cfg, ci, run))
+    keys = [_mix(run_seed(cfg, ci, run) & _MASK)
             for ci in range(len(labels)) for run in range(cfg.runs)]
     records, log = _learn_lanes(
-        base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), rngs, cfg
+        base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), keys, cfg
     )
     per_class = [records[ci * cfg.runs : (ci + 1) * cfg.runs] for ci in range(len(labels))]
     firsts = [next((run for run, r in enumerate(runs) if r.converged), None) for runs in per_class]

@@ -1,4 +1,4 @@
-"""Random streams of integer seeds, shared by the angle and rotation learners."""
+"""The angle learner's random stream of an integer seed (the rotation learner keys its picks instead)."""
 import random
 
 

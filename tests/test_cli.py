@@ -371,7 +371,7 @@ JSON_COMMANDS = (
 
 
 @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
-def test_json_reports_are_indented_json_dumps(capsys, argv, tmp_path, monkeypatch):
+def test_json_reports_are_one_line_json_dumps(capsys, argv, tmp_path, monkeypatch):
     # every report and trace record is built-in all the way down, a pre-rendered
     # section once loaded: json.dumps would also take numpy's float64, a float
     # subclass, without complaint

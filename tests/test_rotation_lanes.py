@@ -8,7 +8,6 @@ must reproduce it exactly: same plan, iterations, convergence and margin.
 import functools
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -22,16 +21,17 @@ from geomorph.rotations import (
     RotationPlan,
     RunRecord,
     _BLOCK,
-    _choice_indices,
     _finish_lane,
+    _mix,
+    _pick,
     apply_rotation,
     base_configuration,
     class_of_base,
     learn_all_classes,
     learn_class_rotation,
+    run_seed,
     sigmoid_gain,
 )
-from geomorph.seeds import seeded_random
 
 ONE_EXPONENT = (
     "FEATURE number: sg pl\nMORPHEMES: a\n"
@@ -86,8 +86,11 @@ def _reference_margins_ok(acts, is_goal, floor):
     return worst > 0 and worst >= floor, worst
 
 
-def sequential_learn(base, corners, target, cfg, class_label, rng):
-    """One run of the rotation search, sub-iteration by sub-iteration."""
+def sequential_learn(base, corners, target, cfg, class_label, key):
+    """One run of the rotation search, sub-iteration by sub-iteration.
+
+    Its k-th sub-iteration turns toward coordinate `_pick(key, k, n)` of its cell's n.
+    """
     target.require_one_hot()
     b = np.array(base.matrix)
     phi = corners.matrix
@@ -104,6 +107,7 @@ def sequential_learn(base, corners, target, cfg, class_label, rng):
 
     cell_coords = [list(np.flatnonzero(phi[i])) for i in range(phi.shape[0])]
     goal_index = target.matrix.argmax(axis=1).tolist()
+    k = 0
     for it in range(1, cfg.max_iters + 1):
         for i in range(phi.shape[0]):
             acts = (phi @ b)[i]
@@ -111,7 +115,8 @@ def sequential_learn(base, corners, target, cfg, class_label, rng):
             rival = int(np.argmax(np.where(is_goal[i], -np.inf, acts)))
             gain = sigmoid_gain(float(acts[rival]), float(acts[j_star]))
             theta = cfg.base_increment * gain
-            toward = rng.choice(cell_coords[i])
+            toward = cell_coords[i][_pick(key, k, len(cell_coords[i]))]
+            k += 1
             advantage = b[:, j_star] - b[:, rival]
             advantage[toward] = -np.inf
             away = int(np.argmax(advantage))
@@ -151,8 +156,8 @@ def _reference_run(text, seed, max_iters, floor, ci, run):
     inv, base = _inventory(text)
     label = inv.labels()[ci]
     cfg = RotationLearnConfig(margin_floor=floor, max_iters=max_iters, seed=seed)
-    rng = random.Random(seed * 1_000_003 + ci * 1_009 + run)
-    return sequential_learn(base, inv.corners, inv.classes[label], cfg, label, rng)
+    key = _mix(run_seed(cfg, ci, run) % 2**64)
+    return sequential_learn(base, inv.corners, inv.classes[label], cfg, label, key)
 
 
 def _reference_stats(text, cfg):
@@ -204,7 +209,7 @@ def _assert_lanes_match(text, cfg):
 
 # (seed, runs, max_iters, margin_floor). Short searches leave lanes
 # unconverged; at max_iters 500 lanes converge and leave the batch at many
-# different sub-iterations; at floor 0.3 the first runs converge after 10-60
+# different sub-iterations; at floor 0.3 the first runs converge after 10-150
 # iterations; at floors 0 and -0.1 a lane converges once every margin is
 # positive. The sequential reference dominates the cost, so the long
 # searches cover fewer seeds.
@@ -214,7 +219,7 @@ GRID = (
     + [(0, 1, 1, 0.3), (0, 3, 7, 0.02)]
     + [(0, 3, 1, 0.0), (1, 3, 7, 0.0), (2, 1, 1, -0.1), (3, 3, 7, -0.1)]
     + [(seed, 1, 500, 0.02) for seed in range(5)]
-    + [(3, 3, 500, 0.02), (1, 1, 60, 0.3)]
+    + [(3, 3, 500, 0.02), (2, 1, 60, 0.3)]
 )
 
 
@@ -257,20 +262,44 @@ def test_one_exponent_lanes_match_a_sequential_run(runs):
     assert stats[0].run_records == (RunRecord(True, 0, math.inf, 0),) * runs
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_block_draws_reproduce_random_choice(n):
-    # -3 is keyed by the string "-3"; blocks of uneven length cross many refills
-    seeds = [0, 1, 1_009, 123_456_789, -3]
-    rngs = [seeded_random(seed) for seed in seeds]
-    want = [seeded_random(seed) for seed in seeds]
-    queue = np.empty((len(seeds), 0), dtype=np.uint32)
-    blocks = [64, 1, 63, 37, 64] * 25  # 5,725 draws per stream
-    for k, block in enumerate(blocks):
-        if k == len(blocks) // 2:  # a lane leaves, with its stream and its queue row
-            del rngs[1], want[1]
-            queue = np.delete(queue, 1, axis=0)
-        picks, queue = _choice_indices(rngs, queue, n, block)
-        assert picks.tolist() == [[rng.choice(range(n)) for rng in want] for _ in range(block)]
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def test_mix_is_splitmix64():
+    # splitmix64's published outputs: seed 1234567, and the first output of seed 0
+    assert [_mix((1234567 + k * GAMMA) % 2**64) for k in (1, 2, 3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert _mix(GAMMA) == 0xE220A8397B1DCDAF
+    # on a uint64 array elementwise, also where sums and products wrap past 2**64
+    z = [0, 1, GAMMA, 2**63, 2**64 - 1, 1234567]
+    assert _mix(np.array(z, dtype=np.uint64)).tolist() == [_mix(v) for v in z]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_picks_spread_evenly_and_agree_on_ints_and_arrays(n):
+    # keys of seed 0, of a negative seed and one near 2**64, so key + k * GAMMA wraps
+    keys = [_mix(0), _mix(-3 % 2**64), 2**64 - 5]
+    k = np.arange(60_000, dtype=np.uint64)[:, None]
+    picks = _pick(np.array(keys, dtype=np.uint64), k, n)
+    for lane in picks.T:
+        counts = np.bincount(lane.astype(np.intp), minlength=n)
+        assert counts.size == n
+        assert np.all(np.abs(counts - len(k) / n) <= 0.03 * len(k) / n)
+    # the lockstep's array picks are `_finish_lane`'s Python-int picks
+    assert picks[:500].tolist() == [[_pick(key, i, n) for key in keys] for i in range(500)]
+
+
+def test_run_streams_never_overlap():
+    # key + k * GAMMA = (p + k) * GAMMA with p = key / GAMMA mod 2**64, so two runs
+    # share a pick position only if their p lie within max_iters x cells of each other
+    # (here 500 x 6): the p of a --runs 100 Nuer batch at seeds -2 to 2 lie far apart
+    inverse, classes = pow(GAMMA, -1, 2**64), len(_inventory(None)[0].labels())
+    positions = sorted(
+        _mix(run_seed(RotationLearnConfig(runs=100, seed=seed), ci, run) % 2**64) * inverse % 2**64
+        for seed in range(-2, 3) for ci in range(classes) for run in range(100))
+    assert len(set(positions)) == 8_000
+    gaps = [b - a for a, b in zip(positions, positions[1:] + [positions[0] + 2**64])]
+    assert min(gaps) > 10**7
 
 
 @pytest.mark.parametrize("label,seed,max_iters", [("I", 3, 500), ("V", 1, 7), ("III", 0, 1)])
@@ -279,32 +308,38 @@ def test_single_lane_call_matches_a_sequential_run(label, seed, max_iters):
     cfg = RotationLearnConfig(max_iters=max_iters, seed=seed)
     got = learn_class_rotation(base, inv.corners, inv.classes[label], cfg, label)
     want = sequential_learn(base, inv.corners, inv.classes[label], cfg, label,
-                            random.Random(seed))
+                            _mix(seed % 2**64))
     assert got == want
 
 
 @pytest.fixture
 def handovers(monkeypatch):
-    """(sub-iteration, picks passed on) of every lane `_learn_lanes` hands to `_finish_lane`."""
+    """The sub-iteration of every lane `_learn_lanes` hands to `_finish_lane`."""
     calls = []
 
-    def spy(phi, b, acts, goal, coords, picks, rng, done, cfg):
-        calls.append((done, len(picks)))
-        return finish(phi, b, acts, goal, coords, picks, rng, done, cfg)
+    def spy(phi, b, acts, goal, coords, key, done, cfg):
+        calls.append(done)
+        return finish(phi, b, acts, goal, coords, key, done, cfg)
 
     finish = rotations._finish_lane
     monkeypatch.setattr(rotations, "_finish_lane", spy)
     return calls
 
 
-# Cases of GRID whose last lanes finish alone: (seed, runs, max_iters, margin_floor),
-# the sub-iteration of the hand-over and how many lanes it hands over
+# Cases whose last lanes finish alone: (seed, runs, max_iters, margin_floor), the
+# sub-iteration of the hand-over and how many lanes it hands over. All but seed 6
+# are cases of GRID.
 HANDOVERS = [
-    ((0, 1, 500, 0.02), 192, 2),  # at a block boundary: every pick passed on is a queued word
-    ((1, 1, 500, 0.02), 156, 2),  # mid-block: the block's unused picks, then queued words
-    ((2, 1, 500, 0.02), 186, 1),
-    ((3, 3, 500, 0.02), 222, 2),
+    ((6, 1, 500, 0.02), 192, 2),  # at a block boundary, where the lockstep's block is spent
+    ((0, 1, 500, 0.02), 144, 2),  # mid-block: the finisher's picks go on from the block's
+    ((1, 1, 500, 0.02), 198, 2),
+    ((2, 1, 500, 0.02), 186, 2),
+    ((3, 3, 500, 0.02), 216, 2),
 ]
+
+
+def test_handovers_fall_at_a_block_boundary_and_mid_block():
+    assert {done % _BLOCK == 0 for _, done, _ in HANDOVERS} == {True, False}
 
 
 @pytest.mark.parametrize("case,done,lanes", HANDOVERS)
@@ -312,52 +347,54 @@ def test_last_lanes_finish_alone_as_sequential_runs(case, done, lanes, handovers
     seed, runs, max_iters, floor = case
     cfg = RotationLearnConfig(margin_floor=floor, max_iters=max_iters, runs=runs, seed=seed)
     _assert_lanes_match(None, cfg)
-    assert [d for d, _ in handovers] == [done] * lanes
-    # each lane gets more picks than its block has left, so its queued words too
-    assert all(picks > -done % _BLOCK for _, picks in handovers)
+    assert handovers == [done] * lanes
 
 
 def test_one_check_per_iteration_records_the_first_converged_sub_iteration(handovers):
     cells = 6
-    cfg = RotationLearnConfig(max_iters=500, seed=0)
+    cfg = RotationLearnConfig(max_iters=500, seed=2)
     stats, _ = _assert_lanes_match(None, cfg)
-    handed = handovers[0][0]
+    handed = handovers[0]
     in_lockstep = {r.rotations % cells for s in stats for r in s.run_records
                    if r.converged and 0 < r.rotations <= handed}
     # lanes converged at the first, a middle and the last sub-iteration of an iteration
     assert {1, 3, 0} <= in_lockstep
-    # at max_iters 13, a lane of seed 2 converges at the last sub-iteration the search has
+    # at max_iters 11, a lane of seed 9 converges at the last sub-iteration the search has
     handovers.clear()
-    cfg = RotationLearnConfig(max_iters=13, seed=2)
+    cfg = RotationLearnConfig(max_iters=11, seed=9)
     stats, _ = _assert_lanes_match(None, cfg)
     assert not handovers
-    assert any(r == RunRecord(True, 13, r.min_margin, 13 * cells)
+    assert any(r == RunRecord(True, 11, r.min_margin, 11 * cells)
                for s in stats for r in s.run_records)
+
+
+# Per file, a seed at which the last two lanes of the default shape finish alone
+# and one never converges (on 3x3x2 at seed 0, three never converge)
+HANDOVER_SEEDS = {"3x3x2": 1, "3x2x2x2": 0, "4x3x2": 0}
 
 
 @pytest.mark.parametrize("name", MULTI_FEATURE)
 def test_lanes_match_with_three_or_more_features_at_500_iterations(name, handovers):
-    stats, _ = _assert_lanes_match(MULTI_FEATURE[name], RotationLearnConfig(max_iters=500))
+    cfg = RotationLearnConfig(max_iters=500, seed=HANDOVER_SEEDS[name])
+    stats, _ = _assert_lanes_match(MULTI_FEATURE[name], cfg)
     assert len(handovers) == 2
     assert any(not r.converged for s in stats for r in s.run_records)
 
 
-@pytest.mark.parametrize("done,drawn,max_iters", [(100, 0, 500), (100, 5, 500), (100, 5, 20)])
-def test_finish_lane_goes_on_from_a_mid_run_state(done, drawn, max_iters):
-    # class VIII at seed 0 converges after 160 sub-iterations; at max_iters 20 it stops at 120
+@pytest.mark.parametrize("max_iters", [500, 20])
+def test_finish_lane_goes_on_from_a_mid_run_state(max_iters):
+    # class VI at seed 0 converges after 166 sub-iterations; at max_iters 20 it stops at 120.
+    # Sub-iteration 100 is the fifth of an iteration.
+    done = 100
     inv, base = _inventory(None)
-    ci = inv.labels().index("VIII")
+    ci = inv.labels().index("VI")
     want = _reference_run(None, 0, max_iters, 0.02, ci, 0)
     phi = inv.corners.matrix
     coords = [np.flatnonzero(row).tolist() for row in phi]
-    rng = random.Random(ci * 1_009)
-    for k in range(done):
-        rng.choice(coords[k % len(coords)])
-    picks = [rng.choice(coords[k % len(coords)]) for k in range(done, done + drawn)]
     b = apply_rotation(base, want.plan.rotations[:done]).matrix
-    goal = inv.classes["VIII"].matrix.argmax(axis=1).tolist()
-    record, steps = _finish_lane(phi, b.tolist(), (phi @ b).tolist(), goal, coords, picks, rng,
-                                 done, RotationLearnConfig(max_iters=max_iters))
+    goal = inv.classes["VI"].matrix.argmax(axis=1).tolist()
+    record, steps = _finish_lane(phi, b.tolist(), (phi @ b).tolist(), goal, coords,
+                                 _mix(ci * 1_009), done, RotationLearnConfig(max_iters=max_iters))
     assert record == RunRecord(want.converged, want.iterations, want.min_margin,
                                len(want.plan.rotations))
     assert record.min_margin.hex() == want.min_margin.hex()

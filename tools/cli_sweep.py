@@ -136,13 +136,13 @@ LONG_RUN_OPS = [
     *((["compose", OSCILLATION, "--format", fmt], False) for fmt in ("json", "tsv")),
     (["compose", OSCILLATION, "--max-iters", "100000", "--format", "json"], False),
 ]
-# Rotation searches whose last lanes run long after the others converged: the
-# full batch with plans as TSV (the first group writes its 231,890-byte JSON
-# report at seed 0, the default); the default shape (one run, 500 iterations)
-# at seeds 0 and 9, where Nuer classes I and XIII take 1,335 to 2,529
-# sub-iterations and every other class fewer than 200; and the four-feature
-# class file to 500 iterations, three runs a class. Last, that file's plans as
-# TSV at the default shape: no other op writes TSV plans but the re-renders.
+# Rotation searches whose last lanes finish alone after the others converged:
+# the full batch with plans as TSV (the first group writes its JSON report at
+# seed 0, the default); the default shape (one run, 500 iterations) at seeds 0
+# and 9, where the last Nuer lane takes 214 and 188 sub-iterations and every
+# other fewer than 170; and the four-feature class file to 500 iterations,
+# three runs a class. Last, that file's plans as TSV at the default shape: no
+# other op writes TSV plans but the re-renders.
 LANE_TAIL_OPS = [
     (["rotate", "nuer_classes", "--runs", "100", "--plans", "--format", "tsv"], False),
     *((["rotate", "nuer_classes", "--seed", seed, "--plans", "--format", "json"], True)

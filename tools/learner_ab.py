@@ -29,7 +29,9 @@ load falls on both alike. The learner decides the calls:
 
 Both sides make each call back to back, the side that goes first alternating
 from call to call and from round to round; the run stops at the first call
-whose results differ. Results are compared by `repr`, bit for bit: `==` would
+whose results differ. So it cannot time a change that moves results on
+purpose (a declared re-baseline, such as a new pick stream); such a change
+is timed with 10 or more alternating pairs of perfbench runs instead. Results are compared by `repr`, bit for bit: `==` would
 take 0.0 for -0.0. Each line printed is one round and shape: the summed
 call times of A and of B in ms and the ratio B / A, below 1 when B is faster.
 The last lines give each shape's median ratio. BLAS threads are pinned to 1,
