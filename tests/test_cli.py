@@ -421,7 +421,10 @@ def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):
 
 
 def test_negative_seeds_do_not_replay_positive_ones(tmp_path, capsys):
-    """`random.Random` seeds from |seed|; in both learners -n must not replay n."""
+    """`random.Random` seeds from |seed|, and `rotate` keys its runs by seed mod 2**64.
+
+    In both learners -n must not replay n.
+    """
     for seed in (0, 1, 3, 3 * 1_000_003, 2**70):
         assert seeded_random(seed).getstate() == random.Random(seed).getstate()
     assert seeded_random(-3).getstate() != seeded_random(3).getstate()
