@@ -29,7 +29,6 @@ from .rotations import (
     base_configuration,
     class_of_base,
     learn_all_classes,
-    run_seed,
 )
 from .training import TrainConfig, train
 
@@ -232,9 +231,8 @@ def cmd_rotate(args, pf, config):
     )
     stats, base_label = learn_all_classes(inv, cfg, args.min_lexemes)
     records = (
-        {"class": s.class_label, "run": run, "seed": run_seed(cfg, ci, run),
-         **record._asdict()}
-        for ci, s in enumerate(stats)
+        {"class": s.class_label, "run": run, **record._asdict()}
+        for s in stats
         for run, record in enumerate(s.run_records)
     )
     rows = [

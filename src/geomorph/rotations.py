@@ -140,10 +140,6 @@ def sigmoid_gain(a_winner: float, a_intended: float) -> float:
     return 1.0 / (1.0 + math.exp(-2.0 * (a_winner - a_intended))) ** 2
 
 
-_RUN_SEED_STRIDE = 1_009  # per-class offset between run seeds
-_SEED_STRIDE = 1_000_003  # per-seed offset; one seed's classes must fit below it
-
-
 @dataclass(frozen=True)
 class RotationLearnConfig:
     base_increment: float = 0.1  # radians per sub-iteration before gain
@@ -161,10 +157,6 @@ class RotationLearnConfig:
             raise ValueError("max_iters must be at least 0")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.runs >= _RUN_SEED_STRIDE:
-            raise ValueError(
-                f"runs must be below {_RUN_SEED_STRIDE}, or run seeds repeat across classes"
-            )
 
 
 @dataclass
@@ -223,20 +215,34 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
-def _pick(key, k, n):
-    """Which of a cell's n coordinates sub-iteration k of the run keyed by `key` turns toward.
+def _word(key, k):
+    """Word k of the stream keyed by `key`: Python ints, or uint64 arrays elementwise.
 
-    Python ints, or uint64 arrays elementwise: numpy wraps their sums and
-    products mod 2**64 silently (uint64 scalars would warn).
+    numpy wraps array sums and products mod 2**64 silently; uint64 scalars would warn.
     """
-    return _mix((key + k * _GAMMA) & _MASK) % n
+    return _mix((key + k * _GAMMA) & _MASK)
+
+
+def _pick(key, k, n):
+    """Which of a cell's n coordinates sub-iteration k of the run keyed by `key` turns toward."""
+    return _word(key, k) % n
+
+
+def _run_key(seed: int, c, r):
+    """Key of run r of class c: word r of the stream keyed by word c of the seed's stream.
+
+    `_mix` is one-to-one and `_GAMMA` odd, so distinct classes of one seed
+    get distinct keys, and so do distinct runs of one class. A key depends
+    on nothing else, so run r of class c is the same run in any batch.
+    """
+    return _word(_word(_mix(seed & _MASK), c), r)
 
 
 def _learn_lanes(
     base: np.ndarray,
     phi: np.ndarray,
     goals: np.ndarray,
-    keys: list[int],
+    keys: np.ndarray,
     cfg: RotationLearnConfig,
 ) -> tuple[list[RunRecord], list]:
     """Run the rotation search of `learn_class_rotation` for many lanes in lockstep.
@@ -277,7 +283,6 @@ def _learn_lanes(
     limit = cfg.max_iters * cells
     records: list[RunRecord | None] = [None] * len(keys)
     live = np.arange(len(keys))  # ids of the lanes still searching, ascending
-    keys = np.array(keys, dtype=np.uint64)
     b = np.repeat(base[None], live.size, axis=0)
     goal_index, (goal_at, rival_at) = goals.argmax(axis=2), _margin_positions(goals)
     no_goal = np.where(goals, -np.inf, 0.0)  # added to activations, it hides the goals
@@ -480,16 +485,18 @@ def learn_class_rotation(
     equal the target with the minimum margin at or above margin_floor.
 
     The pick of sub-iteration k is `_pick(key, k, n)` with the run's key
-    `_mix(cfg.seed mod 2**64)`. This is the one-lane case of the lockstep
-    search `learn_all_classes` runs, so after the first check its lane
-    finishes alone on Python floats.
+    `_run_key(cfg.seed, 0, 0)`: this is run 0 of class 0 of a
+    `learn_all_classes` batch at the same seed, and the one-lane case of its
+    lockstep search, so after the first check its lane finishes alone on
+    Python floats.
     """
     if (base.morphemes != target.morphemes or target.row_labels != corners.row_labels
             or base.matrix.shape[0] != corners.matrix.shape[1]):
         raise ShapeMismatch("base, corners and target must agree on morphemes, cells and axes")
     target.require_one_hot()
     (record,), log = _learn_lanes(
-        base.matrix, corners.matrix, (target.matrix == 1.0)[None], [_mix(cfg.seed & _MASK)], cfg
+        base.matrix, corners.matrix, (target.matrix == 1.0)[None],
+        np.array([_run_key(cfg.seed, 0, 0)], dtype=np.uint64), cfg
     )
     (plan,) = _plans(log, [(0, record.rotations, class_label)])
     return RotationLearnResult(plan, record.iterations, record.converged, record.min_margin)
@@ -509,30 +516,23 @@ class ClassRunStats:
     run_records: tuple[RunRecord, ...] = ()  # one per run, in run order
 
 
-def run_seed(cfg: RotationLearnConfig, class_index: int, run: int) -> int:
-    """Seed of a (class, run); distinct over seeds while runs < 1009 and classes < 992."""
-    return cfg.seed * _SEED_STRIDE + class_index * _RUN_SEED_STRIDE + run
-
-
 def learn_all_classes(
     inv: ClassInventory,
     cfg: RotationLearnConfig,
     min_lexemes: int = 3,
 ) -> tuple[list[ClassRunStats], str | None]:
-    """Learn every class from the shared base; seeded per class and run.
+    """Learn every class from the shared base, `cfg.runs` runs per class.
 
-    Every (class, run) pair is one lane of a single lockstep search, and
-    each run's result is the one `learn_class_rotation` gives it alone.
+    Every (class, run) pair is one lane of a single lockstep search, keyed
+    `_run_key(cfg.seed, class index, run)`, and each run's result is the
+    sequential run at its key. Lane memory grows with classes x runs.
     """
     labels = inv.labels()
-    if len(labels) * _RUN_SEED_STRIDE > _SEED_STRIDE:
-        raise ValueError(f"at most {_SEED_STRIDE // _RUN_SEED_STRIDE} classes, "
-                         "or run seeds repeat across seeds")
     base = base_configuration(inv, min_lexemes)
     base_label = class_of_base(base, inv)
     goals = np.stack([inv.classes[label].matrix == 1.0 for label in labels])
-    keys = [_mix(run_seed(cfg, ci, run) & _MASK)
-            for ci in range(len(labels)) for run in range(cfg.runs)]
+    keys = _run_key(cfg.seed, np.arange(len(labels), dtype=np.uint64)[:, None],
+                    np.arange(cfg.runs, dtype=np.uint64)).ravel()
     records, log = _learn_lanes(
         base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), keys, cfg
     )

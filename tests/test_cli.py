@@ -110,19 +110,15 @@ def test_compose_reports_a_tie_and_exits_three(tmp_path, capsys, gold):
     assert code == 3 and f"{gold}\t-\tpl\tKind" in out.splitlines()
 
 
-def test_rotate_rejects_more_classes_than_the_seed_stride_holds(tmp_path, capsys):
-    """Run seeds of 992 classes would reach the next CLI seed's (1009 x 992 > 1000003)."""
+def test_rotate_runs_992_classes(tmp_path, capsys):
+    """A class file of 992 classes runs: no class count limits the run keys."""
     blocks = "".join(f"CLASS C{k} LEXEMES 1\nCELL sg -> 0\nCELL pl -> s\nEND\n"
                      for k in range(992))
     path = tmp_path / "classes.par"
     path.write_text(f"FEATURE number: sg pl\nMORPHEMES: 0 s\n{blocks}", encoding="utf-8")
-    code, out, err = run(capsys, "rotate", str(path), "--max-iters", "0")
-    assert (code, out) == (1, "")
-    assert err == "error: at most 991 classes, or run seeds repeat across seeds\n"
-    path.write_text(path.read_text().split("CLASS C991")[0], encoding="utf-8")
     code, out, _ = run(capsys, "rotate", str(path), "--max-iters", "0", "--min-lexemes", "1",
                        "--format", "json")
-    assert code == 0 and len(json.loads(out)["classes"]) == 991
+    assert code == 0 and len(json.loads(out)["classes"]) == 992
 
 
 def test_rotate_small_batch(capsys):
@@ -405,10 +401,9 @@ def test_rotate_trace_has_a_line_per_class_and_run(tmp_path, capsys):
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(records) == 32
     assert set(records[0]) == {
-        "class", "run", "seed", "converged", "iterations", "min_margin", "rotations"
+        "class", "run", "converged", "iterations", "min_margin", "rotations"
     }
     assert [(r["class"], r["run"]) for r in records[:4]] == [("I", 0), ("I", 1), ("II", 0), ("II", 1)]
-    assert records[1]["seed"] == 3 * 1_000_003 + 1
     failed = [r for r in records if not r["converged"]]
     assert failed and all(r["iterations"] == 1 and r["rotations"] == 6 for r in failed)
     assert all(isinstance(r["min_margin"], float) for r in failed)

@@ -229,13 +229,6 @@ def test_deponent_transform_requires_distinct_axes(deponent):
         deponent_transform(expo, 5, 5)
 
 
-def test_runs_limited_below_seed_stride():
-    # run seeds step by 1009 per class, so run 1009 would replay the next class's run 0
-    with pytest.raises(ValueError, match="1009"):
-        RotationLearnConfig(runs=1009)
-    assert RotationLearnConfig(runs=1008).runs == 1008
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_learner_parameters_must_be_finite(bad):
     with pytest.raises(ValueError, match="base_increment"):
