@@ -8,6 +8,7 @@ to a target axis is an absolute angle difference.
 from __future__ import annotations
 
 import math
+import random
 from array import array
 from dataclasses import dataclass
 
@@ -15,9 +16,13 @@ import numpy as np
 
 from .errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem
 from .exponence import UNIT_TOL, decide_row
-from .seeds import seeded_random
 
 HALF_PI = math.pi / 2
+
+
+def seeded_random(seed: int) -> random.Random:
+    """`random.Random(seed)`, except that -n is keyed by "-n": Random would replay n."""
+    return random.Random(seed if seed >= 0 else str(seed))
 
 
 def wrap_angle(x: float) -> float:
@@ -49,11 +54,6 @@ def _sum_angle(a: float, b: float) -> float:
     return math.atan2(math.sin(a) + math.sin(b), math.cos(a) + math.cos(b))
 
 
-def _offset(a: float, b: float, axis: float) -> float:
-    """Signed angle from the direction of the a+b sum to `axis`, in (-pi, pi]."""
-    return wrap_angle(axis - _sum_angle(a, b))
-
-
 @dataclass(frozen=True)
 class AngleModel:
     """Morphemes as angles in a 2D feature plane (x-axis value, y-axis value)."""
@@ -78,7 +78,8 @@ class AngleModel:
 
     def sum_distance(self, a: str, b: str, value: str) -> float:
         """Absolute angle between the a+b sum direction and a named axis."""
-        return abs(_offset(self.entries[a], self.entries[b], self.axis_angle(value)))
+        offset = self.axis_angle(value) - _sum_angle(self.entries[a], self.entries[b])
+        return abs(wrap_angle(offset))
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,6 @@ def inventory_from_angles(model: AngleModel, stems, affixes, gold_forms) -> Comp
                                 {a: model.vector(a) for a in affixes}, dict(gold_forms))
 
 
-def _nearest(distances: list[float]) -> int:
-    """Index of the strictly least distance, or -1 (a tie): `decide_row` on their negations."""
-    return decide_row([-d for d in distances])
-
-
 def select_pair(inv: CompositionInventory, target: np.ndarray):
     """Stem+affix pair whose vector sum is nearest the target point.
 
@@ -117,7 +113,7 @@ def select_pair(inv: CompositionInventory, target: np.ndarray):
     target = np.asarray(target, dtype=float)
     pairs = [(s, a) for s in inv.stems for a in inv.affixes]
     dists = [float(np.linalg.norm(inv.stems[s] + inv.affixes[a] - target)) for s, a in pairs]
-    k = _nearest(dists)
+    k = decide_row([-d for d in dists])
     if k >= 0:
         return pairs[k], []
     best = min(dists)
@@ -133,7 +129,7 @@ def select_affix_for_stem(inv: CompositionInventory, stem: str, target: np.ndarr
         raise EmptyInventory("no affixes")
     sv, target = inv.stems[stem], np.asarray(target, dtype=float)
     affixes = list(inv.affixes)
-    k = _nearest([float(np.linalg.norm(sv + inv.affixes[a] - target)) for a in affixes])
+    k = decide_row([-float(np.linalg.norm(sv + inv.affixes[a] - target)) for a in affixes])
     return affixes[k] if k >= 0 else None
 
 
@@ -144,7 +140,7 @@ def select_affix_by_angle(model: AngleModel, stem: str, affixes, axis_value: str
     affixes = list(affixes)
     if not affixes:
         raise EmptyInventory("no affixes")
-    k = _nearest([model.sum_distance(stem, a, axis_value) for a in affixes])
+    k = decide_row([-model.sum_distance(stem, a, axis_value) for a in affixes])
     return affixes[k] if k >= 0 else None
 
 
@@ -196,13 +192,15 @@ def learn_angles(
     sum retreats. A rival whose sum is already a quarter turn or more from
     the axis is beaten regardless and is left where it is; unbounded retreat
     would let the configuration wander into the antipodal half-plane where
-    sums degenerate. Convergence is a full pass with no adjustment. A pass
-    that starts with every angle bit for bit where an earlier pass started
-    begins a cycle that would repeat until `max_iters`, so the run stops there
-    with what running out `max_iters` returns: the angles at that pass's phase
-    of the cycle, not converged, and the adjustments of every pass that would
-    run. A pass that ends where it began is the cycle of one pass. A label's
-    sine and cosine are recomputed only when it moves.
+    sums degenerate. Convergence is a full pass with no adjustment. The
+    learner remembers one pass start, the angles at pass 0, 1, 2, 4, 8, ...
+    (Brent's method), so its memory does not depend on `max_iters`. A later
+    pass that starts bit for bit there begins a cycle, seen within about twice
+    the passes that reach it: the whole cycles left until `max_iters` are
+    counted, not run, and the rest run as any pass, so the result is exactly
+    what running out `max_iters` returns, not converged. A pass that ends
+    where it began is the cycle of one pass. A label's sine and cosine are
+    recomputed only when it moves.
     """
     stems, affixes, gold = list(stems), list(affixes), dict(gold_forms)
     missing = [(stem, value) for stem in stems for value in plane if (stem, value) not in gold]
@@ -223,21 +221,24 @@ def learn_angles(
 
     step, margin, pi, tau = cfg.stepsize, cfg.margin, math.pi, 2 * math.pi
     total_adjustments = iterations = 0
-    # pass k starts from the k-th key of seen (whose value is k), after adjusted[k] adjustments
-    seen: dict[bytes, int] = {}
-    adjusted: list[int] = []
+    # Brent's method: the start of pass 0, 1, 2, 4, ... and the adjustments before it
+    mark, marked_at, marked_total, next_mark = None, 0, 0, 0
     while iterations < cfg.max_iters:  # reaching max_iters is not converging
-        start, adjustments = array("d", th).tobytes(), 0
-        first = seen.setdefault(start, iterations)
-        if first < iterations:  # passes first .. iterations - 1 repeat until max_iters
-            full, rest = divmod(cfg.max_iters - iterations, iterations - first)
-            total_adjustments += (full * (total_adjustments - adjusted[first])
-                                  + adjusted[first + rest] - adjusted[first])
-            th, iterations = array("d", list(seen)[first + rest]), cfg.max_iters
-            break
-        adjusted.append(total_adjustments)
+        # == equates 0.0 and -0.0, so the bytes confirm a repeat
+        if th == mark and array("d", th).tobytes() == array("d", mark).tobytes():
+            # passes marked_at .. iterations - 1 repeat: skip whole cycles, run the rest
+            period = iterations - marked_at
+            cycles = (cfg.max_iters - iterations) // period
+            iterations += cycles * period
+            total_adjustments += cycles * (total_adjustments - marked_total)
+            mark = next_mark = None
+            continue
+        if iterations == next_mark:
+            mark, marked_at, marked_total = th[:], iterations, total_adjustments
+            next_mark = 2 * iterations or 1
+        adjustments = 0
         for s, g, axis, rivals in targets:
-            # _offset inlined: axis - atan2(...) is in (-2pi, 2pi), where fmod is exact
+            # the offset of sum_distance, inlined: axis - atan2(...) is in (-2pi, 2pi), where fmod is exact
             dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
             dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
             for r in rivals:

@@ -3,7 +3,8 @@
 Exponents live as unit-length columns of an ExponentMatrix. Activating them
 against a corner matrix is a plain matrix product; the selected exponent at
 a cell is the strict row maximum. Count-based initialization places each
-exponent at the (normalized) sum of the corners it is attested in.
+exponent at the (normalized) sum of the corners it is attested in. The tie
+rule and every margin test of the library live here.
 """
 from __future__ import annotations
 
@@ -154,6 +155,32 @@ def gold_margins(acts: np.ndarray, gold: np.ndarray) -> np.ndarray:
     it is > 0 exactly when gold wins the row under the tie rule of `decide`.
     """
     return acts[gold] - np.where(gold, -np.inf, acts).max(axis=-1)
+
+
+def _margin_positions(goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a raveled (lanes, cells, exponents) stack holds the (goal, rival) pairs of `goals`.
+
+    Row l of each array is lane l's pairs, cell by cell; a goal repeats once per rival.
+    """
+    at, lanes, rivals = np.arange(goals.size).reshape(goals.shape), len(goals), goals.shape[2] - 1
+    return np.repeat(at[goals], rivals).reshape(lanes, -1), at[~goals].reshape(lanes, -1)
+
+
+def _worst_margins(flat: np.ndarray, goal_at: np.ndarray, rival_at: np.ndarray) -> np.ndarray:
+    """Each lane's least goal-minus-rival difference in the raveled stack `flat` (inf if none).
+
+    `flat` may hold several raveled stacks along its first axis; then each
+    gets a row of worst margins. Rounded g - r never rises with r, so on
+    finite activations without -0.0 this is bit for bit the lane's least
+    `gold_margins` value.
+    """
+    pairs = flat.take(goal_at, axis=-1) - flat.take(rival_at, axis=-1)
+    return pairs.min(axis=-1, initial=np.inf)
+
+
+def _convergence_test(floor: float):
+    """Whether worst margins are all positive and at or above `floor`, as one comparison."""
+    return (lambda worst: worst >= floor) if floor > 0 else (lambda worst: worst > 0)
 
 
 def gold_wins(acts: list[float], gold: int) -> bool:

@@ -20,6 +20,9 @@ from .exponence import (
     CountArray,
     ExponentMatrix,
     SelectionTable,
+    _convergence_test,
+    _margin_positions,
+    _worst_margins,
     activations,
     count_features,
     normalize_columns,
@@ -165,32 +168,6 @@ class RotationLearnResult:
     iterations: int
     converged: bool
     min_margin: float
-
-
-def _margin_positions(goals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where a raveled (lanes, cells, exponents) stack holds the (goal, rival) pairs of `goals`.
-
-    Row l of each array is lane l's pairs, cell by cell; a goal repeats once per rival.
-    """
-    at, lanes, rivals = np.arange(goals.size).reshape(goals.shape), len(goals), goals.shape[2] - 1
-    return np.repeat(at[goals], rivals).reshape(lanes, -1), at[~goals].reshape(lanes, -1)
-
-
-def _worst_margins(flat: np.ndarray, goal_at: np.ndarray, rival_at: np.ndarray) -> np.ndarray:
-    """Each lane's least goal-minus-rival difference in the raveled stack `flat` (inf if none).
-
-    `flat` may hold several raveled stacks along its first axis; then each
-    gets a row of worst margins. Rounded g - r never rises with r, so on
-    finite activations without -0.0 this is bit for bit the lane's least
-    `gold_margins` value.
-    """
-    pairs = flat.take(goal_at, axis=-1) - flat.take(rival_at, axis=-1)
-    return pairs.min(axis=-1, initial=math.inf)
-
-
-def _convergence_test(floor: float):
-    """Whether worst margins are all positive and at or above `floor`, as one comparison."""
-    return (lambda worst: worst >= floor) if floor > 0 else (lambda worst: worst > 0)
 
 
 class RunRecord(NamedTuple):
@@ -403,8 +380,9 @@ def _finish_lane(
     activations are the rows of one 2-D product `phi @ b` per sub-iteration,
     which rounds as the stacked product does and as `activations` computes
     them. The worst margin is the least, over cells, of the goal minus its
-    largest rival: rounded g - r never rises with r, so it is
-    `_worst_margins`' least difference.
+    largest rival: rounded g - r never rises with r, so this inline loop is
+    `exponence._worst_margins` on the lane, kept here because it is the last
+    lanes' hot path.
 
     Returns the lane's record and its steps: away axes, toward axes and signed angles.
     """

@@ -12,8 +12,8 @@ import pytest
 from geomorph import cli, paradigm
 from geomorph import report as rpt
 from geomorph.cli import main
+from geomorph.composition import seeded_random
 from geomorph.paradigm import ParadigmFile
-from geomorph.seeds import seeded_random
 from test_report import built_in, loaded
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,23 @@ def test_learn_angles_deterministic(german_plurals):
     r2 = learn_angles(*args, AngleLearnConfig(seed=11))
     assert r1.model.entries == r2.model.entries
     assert r1.iterations == r2.iterations
+
+
+def test_learn_angles_memory_does_not_grow_with_its_passes():
+    """A run that never converges or cycles (measured to 200,000 passes) keeps no per-pass
+    state: 2,000 passes peak far below the ~180 B per pass a history of starts takes."""
+    gold = {("d", "x"): "h", ("d", "y"): "e", ("a", "x"): "e", ("a", "y"): "c",
+            ("c", "x"): "c", ("c", "y"): "e"}
+    cfg = AngleLearnConfig(stepsize=0.006784902877816887, margin=0.20120505346242584,
+                           max_iters=2_000, seed=224339410098)
+    tracemalloc.start()
+    try:
+        res = learn_angles(["d", "a", "c"], ["c", "h", "e"], gold, ("x", "y"), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.iterations, res.converged) == (2_000, False)
+    assert peak < 100_000
 
 
 def test_learn_config_validation():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import geomorph as g
 from geomorph.composition import _sum_angle, wrap_angle
-from geomorph.exponence import ActivationMatrix, decide_row, gold_margins, gold_wins
-from geomorph.rotations import _convergence_test, _margin_positions, _worst_margins
+from geomorph.exponence import (ActivationMatrix, _convergence_test, _margin_positions,
+                                _worst_margins, decide_row, gold_margins, gold_wins)
 
 # ---------------------------------------------------------------- helpers
 

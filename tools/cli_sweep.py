@@ -23,12 +23,15 @@ Last, the sweep writes MANIFEST (`MANIFEST.sha256`) into OUT_DIR: a first line
 `# numpy <version>, <BLAS name> <version>`, then one `<sha256>  <file>` line
 per file in OUT_DIR but the manifest, sorted by name. Output bytes depend on
 how the BLAS build rounds, so the header names it. `tools/cli_sweep.sha256` is
-the manifest of the committed tree; a change that moves outputs commits the
-new manifest there, and the file's diff lists exactly the outputs that moved:
+the manifest of the committed tree, and the sweep ends by comparing MANIFEST
+with it. If the headers match, it prints each output whose digest changed,
+is new or is gone, or "no output moved", and exits 0 only when none moved.
+If they differ, it names both builds, compares nothing and exits 1. A change
+that moves outputs commits the new manifest, whose diff then lists exactly
+the outputs that moved:
 
     python tools/cli_sweep.py src /tmp/sweep
     cp /tmp/sweep/MANIFEST.sha256 tools/cli_sweep.sha256
-    git diff tools/cli_sweep.sha256
 """
 from __future__ import annotations
 
@@ -234,6 +237,7 @@ def flat_16_text() -> str:
 
 
 MANIFEST = "MANIFEST.sha256"
+COMMITTED = Path(__file__).resolve().with_suffix(".sha256")  # the committed tree's manifest
 
 
 def write_manifest() -> int:
@@ -246,6 +250,29 @@ def write_manifest() -> int:
     lines += [f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}" for name in names]
     Path(MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(names)
+
+
+def compare_manifest(committed: Path) -> int:
+    """Print how MANIFEST differs from `committed`; return how many outputs moved, or -1.
+
+    Manifests of two BLAS builds are not compared, since output bytes depend
+    on the build: then both headers are printed and -1 is returned.
+    """
+    def read(path):
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        return header, {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+    (header, new), (committed_header, old) = read(Path(MANIFEST)), read(committed)
+    if header != committed_header:
+        print(f"not compared with {committed.name}: this build is {header[2:]!r}, "
+              f"{committed.name} was made on {committed_header[2:]!r}")
+        return -1
+    moved = sorted(name for name in new.keys() | old.keys() if new.get(name) != old.get(name))
+    for name in moved:
+        how = "new" if name not in old else "gone" if name not in new else "changed"
+        print(f"{how:8} {name}")
+    print(f"{len(moved)} outputs moved against {committed.name}" if moved else "no output moved")
+    return len(moved)
 
 
 def run(main, n: int, argv: list[str]) -> str:
@@ -293,7 +320,7 @@ def main(src_dir: str, out_dir: str) -> int:
     print(f"{n} ops, {renders} report re-renders, "
           f"{len(list(Path().glob('*.trace')))} trace files, "
           f"{write_manifest()} files in {out_dir}/{MANIFEST}")
-    return 0
+    return 0 if compare_manifest(COMMITTED) == 0 else 1
 
 
 if __name__ == "__main__":
