@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,22 +184,17 @@ def learn_angles(
     Angles start at seeded uniform positions in (-pi/2, pi/2), except labels
     given in `initial`, which start where the caller placed them. A pass
     visits every (stem, gold affix, rival) triple in declaration order;
-    whenever the rival's sum lies closer to the target axis than the gold
-    sum, within the margin of it, or exactly as close (a tie is never a
-    win, at any margin), the stem and gold affix move one step
-    so their sum approaches the axis, and the rival moves one step so its
-    sum retreats. A rival whose sum is already a quarter turn or more from
-    the axis is beaten regardless and is left where it is; unbounded retreat
-    would let the configuration wander into the antipodal half-plane where
-    sums degenerate. Convergence is a full pass with no adjustment. The
-    learner remembers one pass start, the angles at pass 0, 1, 2, 4, 8, ...
-    (Brent's method), so its memory does not depend on `max_iters`. A later
-    pass that starts bit for bit there begins a cycle, seen within about twice
-    the passes that reach it: the whole cycles left until `max_iters` are
-    counted, not run, and the rest run as any pass, so the result is exactly
-    what running out `max_iters` returns, not converged. A pass that ends
-    where it began is the cycle of one pass. A label's sine and cosine are
-    recomputed only when it moves.
+    whenever the rival's sum lies closer to the target axis than the gold sum,
+    within the margin of it, or exactly as close (a tie is never a win, at any
+    margin), the stem and gold affix move one step so their sum approaches the
+    axis, and the rival moves one step so its sum retreats. A rival whose sum
+    is already a quarter turn or more from the axis is beaten regardless and
+    is left where it is; unbounded retreat would let the configuration wander
+    into the antipodal half-plane where sums degenerate. Convergence is a full
+    pass with no adjustment; any other run makes all `max_iters` passes, even
+    passes that repeat, and `iterations` counts the passes that adjusted. No
+    per-pass state is kept, so memory does not depend on `max_iters`. A
+    label's sine and cosine are recomputed only when it moves.
     """
     stems, affixes, gold = list(stems), list(affixes), dict(gold_forms)
     missing = [(stem, value) for stem in stems for value in plane if (stem, value) not in gold]
@@ -221,21 +215,7 @@ def learn_angles(
 
     step, margin, pi, tau = cfg.stepsize, cfg.margin, math.pi, 2 * math.pi
     total_adjustments = iterations = 0
-    # Brent's method: the start of pass 0, 1, 2, 4, ... and the adjustments before it
-    mark, marked_at, marked_total, next_mark = None, 0, 0, 0
     while iterations < cfg.max_iters:  # reaching max_iters is not converging
-        # == equates 0.0 and -0.0, so the bytes confirm a repeat
-        if th == mark and array("d", th).tobytes() == array("d", mark).tobytes():
-            # passes marked_at .. iterations - 1 repeat: skip whole cycles, run the rest
-            period = iterations - marked_at
-            cycles = (cfg.max_iters - iterations) // period
-            iterations += cycles * period
-            total_adjustments += cycles * (total_adjustments - marked_total)
-            mark = next_mark = None
-            continue
-        if iterations == next_mark:
-            mark, marked_at, marked_total = th[:], iterations, total_adjustments
-            next_mark = 2 * iterations or 1
         adjustments = 0
         for s, g, axis, rivals in targets:
             # the offset of sum_distance, inlined: axis - atan2(...) is in (-2pi, 2pi), where fmod is exact

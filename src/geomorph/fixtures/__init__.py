@@ -5,18 +5,9 @@ from importlib import resources
 
 from ..paradigm import ParadigmFile, parse_text
 
-FIXTURES = (
-    "english_weak_verb",
-    "german_present",
-    "german_full",
-    "latin_adjectives",
-    "russian_class_one",
-    "nuer_classes",
-    "german_plurals",
-    "spanish_verbs",
-    "latin_deponent",
-)
 _FILES = resources.files(__package__)  # the files are read anew on every call
+FIXTURES = tuple(sorted(f.name.removesuffix(".par") for f in _FILES.iterdir()
+                        if f.name.endswith(".par")))
 
 
 def fixture_text(name: str) -> str:

@@ -154,11 +154,3 @@ def train(
     trace.iterations = cfg.max_iters
     return b, trace
 
-
-__all__ = [
-    "TrainConfig",
-    "TrainTrace",
-    "TraceRecord",
-    "delta_step",
-    "train",
-]

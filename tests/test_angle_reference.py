@@ -3,11 +3,10 @@
 `reference_learn_angles` is the learner loop that measured every sum against
 its axis inline and recomputed the gold pair's sum once for every rival.
 `learn_angles` holds labels as indices, keeps each label's sine and cosine
-until it moves, recomputes the gold pair's offset only after an adjustment
-and skips the repeats of a cycle of passes once it sees one; it must return
-the same `AngleLearnResult` bit for bit, on the German plurals and on
-generated inventories. Both count a rival exactly as close as the gold sum
-as not beaten, at any margin.
+until it moves and recomputes the gold pair's offset only after an
+adjustment; it must return the same `AngleLearnResult` bit for bit, on the
+German plurals and on generated inventories. Both count a rival exactly as
+close as the gold sum as not beaten, at any margin.
 """
 from __future__ import annotations
 
@@ -134,7 +133,7 @@ def test_a_pass_that_ends_where_it_began_reports_running_out_max_iters(
     monkeypatch, margin, max_iters
 ):
     """Affix c is gold on both axes and d sits at its angle: each pass's x-axis steps undo
-    its y-axis steps, so every pass repeats the first and the learner stops after it."""
+    its y-axis steps, so every pass repeats the first, and the learner runs them all."""
     cfg = AngleLearnConfig(margin=margin, max_iters=max_iters)
     case = (["a"], ["c", "d"], {("a", "x"): "c", ("a", "y"): "c"}, ("x", "y"), cfg)
     initial = {"c": 0.3, "d": 0.3}
@@ -145,14 +144,14 @@ def test_a_pass_that_ends_where_it_began_reports_running_out_max_iters(
     assert (result.iterations, result.converged, result.adjustments) == (
         max_iters, False, 2 * max_iters)
     assert result.model.entries["c"] == result.model.entries["d"] == 0.3
-    assert len(signs) == 6  # one pass: two adjustments, each taking two signs and the rival's
+    # every pass: two adjustments, each taking two signs and the rival's
+    assert len(signs) == 6 * max_iters
 
 
 def test_a_cycle_of_many_passes_reports_running_out_max_iters(monkeypatch):
     """`compose german_plurals --seed 100044`: pass 2224 starts where pass 2026 started, so
-    passes 2026-2223 (198 of them) would repeat until `max_iters`. The learner remembers
-    the start of pass 2048 and sees pass 2246 start there again; it skips the whole cycles
-    left and runs the rest, with the reference's result at every phase of the cycle."""
+    passes 2026-2223 (198 of them) repeat until `max_iters`. The learner runs every one of
+    them, with the reference's result at every phase of the cycle."""
     pf = fixtures.load("german_plurals")
     inputs = (pf.stem_labels(), pf.affix_labels(), pf.gold_forms(), pf.plane)
     signs = {}
@@ -166,10 +165,9 @@ def test_a_cycle_of_many_passes_reports_running_out_max_iters(monkeypatch):
             patch.setattr(composition, "_sign", lambda x: calls.append(x) or _sign(x))
             learn_angles(*args, initial=pf.authored_angles())
         signs[max_iters] = len(calls)
-    # up to pass 2,246 every pass runs; a run of m >= 2,246 passes then does the work
-    # of 2,246 + (m - 2,246) mod 198 passes
-    assert signs[2_026] < signs[2_224] < signs[2_225] < signs[2_246]
-    assert signs[2_500] == signs[2_302] and signs[3_000] == signs[2_406]
+    # every pass runs, so a longer run takes more signs
+    counts = [signs[m] for m in sorted(signs)]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
 @st.composite

@@ -297,6 +297,11 @@ def test_rotate_rejects_negative_max_iters(capsys):
     assert "max_iters" in err
 
 
+def test_rotate_rejects_runs_below_one(capsys):
+    assert run(capsys, "rotate", "nuer_classes", "--runs", "0") == (
+        1, "", "error: runs must be at least 1\n")
+
+
 # init rejects the value on a cell table too, which does not read it
 @pytest.mark.parametrize(
     "command,paradigm",

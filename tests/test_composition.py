@@ -92,6 +92,11 @@ def test_select_pair_empty_inventory():
     inv = CompositionInventory({}, {"y": np.array([0.0, 1.0])}, {})
     with pytest.raises(EmptyInventory):
         select_pair(inv, np.array([1.0, 1.0]))
+    no_affixes = CompositionInventory({"x": np.array([1.0, 0.0])}, {}, {})
+    with pytest.raises(EmptyInventory, match="no affixes"):
+        select_affix_for_stem(no_affixes, "x", np.array([1.0, 1.0]))
+    with pytest.raises(EmptyInventory, match="no affixes"):
+        select_affix_by_angle(german_model(), "Kind", [], "pl")
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [2.0, 0.0], [1 + 1e-7, 0.0]],
@@ -159,6 +164,10 @@ def test_unknown_stem_raises(spanish):
     )
     with pytest.raises(UnknownStem):
         select_affix_for_stem(inv, "bail", np.array([2.0, 0.0]))
+    with pytest.raises(UnknownStem):
+        select_affix_by_angle(model, "bail", spanish.affix_labels(), "second")
+    with pytest.raises(UnknownStem, match="'third' is not an axis of plane"):
+        model.axis_angle("third")
 
 
 def test_german_published_run_selections():

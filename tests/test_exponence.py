@@ -201,6 +201,20 @@ def test_evaluate_shape_mismatch(english, russian):
         evaluate(acts, russian.gold_table())
 
 
+def test_tables_whose_shapes_disagree_are_rejected(english, russian):
+    corners, gold = english.corner_matrix(), english.gold_table()
+    expo = initial_exponents(corners, gold)
+    with pytest.raises(ShapeMismatch, match="one column per morpheme"):
+        ExponentMatrix(expo.morphemes[:-1], expo.matrix)
+    with pytest.raises(ShapeMismatch, match="shape does not match labels"):
+        SelectionTable(gold.row_labels[:-1], gold.morphemes, gold.matrix)
+    short = SelectionTable(gold.row_labels[:-1], gold.morphemes, gold.matrix[:-1])
+    with pytest.raises(ShapeMismatch, match="disagree on cell count"):
+        count_features(corners, short)
+    with pytest.raises(ShapeMismatch, match="corner width and exponent height differ"):
+        activations(russian.corner_matrix(), expo)
+
+
 @pytest.mark.parametrize("entry,ok", [(1.0, True), (0.0, True), (-0.0, True), (0.5, False),
                                       (2.0, False), (math.nan, False), (math.inf, False)])
 def test_selection_table_takes_only_zero_and_one(english, entry, ok):

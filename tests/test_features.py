@@ -53,6 +53,8 @@ def test_too_few_values_rejected():
         build_feature_system([("tense", ["past"])])
     with pytest.raises(EmptyFeature):
         build_feature_system([])
+    with pytest.raises(EmptyFeature, match="empty token"):
+        build_feature_system([("tense", ["past", ""])])
 
 
 def test_corner_vectors_match_published_rows():
@@ -131,6 +133,9 @@ def test_feature_blocks_report_constructed_violation(english):
     broken = CornerMatrix(fs, corners.row_labels, bad)
     diags = validate_feature_blocks(broken, fs)
     assert diags and all("tense" in d for d in diags)
+    wider = build_feature_system(ENGLISH + [("mood", ["ind", "sbj"])])
+    with pytest.raises(ShapeMismatch, match="matrix has 7 columns, system has 9 values"):
+        validate_feature_blocks(corners, wider)
 
 
 def test_corner_vector_injective():

@@ -140,6 +140,14 @@ def test_bad_angle_reported():
         parse_text("FEATURE number: sg pl\nPLANE pl sg\nSTEM x @ abc\nAFFIX y\nFORM x sg -> y\n")
 
 
+def test_fixtures_are_the_bundled_files():
+    assert fixtures.FIXTURES == (
+        "english_weak_verb", "german_full", "german_plurals", "german_present", "latin_adjectives",
+        "latin_deponent", "nuer_classes", "russian_class_one", "spanish_verbs")
+    with pytest.raises(KeyError, match="no bundled fixture named 'german'"):
+        fixtures.fixture_text("german")
+
+
 @pytest.mark.parametrize("name", fixtures.FIXTURES)
 def test_serialize_round_trip(name):
     pf = fixtures.load(name)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geomorph import (
+    ClassInventory,
     ExponentMatrix,
     PlaneRotation,
     RotationLearnConfig,
@@ -69,6 +70,21 @@ def test_nuer_weighted_counts_pinned(nuer):
 def test_nuer_filter_can_empty(nuer):
     with pytest.raises(EmptyFilter):
         weighted_counts(nuer.class_inventory(), 1000)
+
+
+def test_class_inventory_rejects_tables_that_disagree(nuer):
+    inv = nuer.class_inventory()
+    label, table = next(iter(inv.classes.items()))
+    morphs = SelectionTable(table.row_labels, table.morphemes[::-1], table.matrix)
+    cells = SelectionTable(table.row_labels[::-1], table.morphemes, table.matrix)
+    for other, message in ((morphs, "uses different morphemes"), (cells, "uses different cells")):
+        with pytest.raises(ShapeMismatch, match=f"class '{label}' {message}"):
+            ClassInventory(inv.corners, inv.morphemes, {**inv.classes, label: other},
+                           inv.lexeme_counts)
+    counts = dict(inv.lexeme_counts)
+    del counts[label]
+    with pytest.raises(ShapeMismatch, match="lexeme counts must cover exactly the classes"):
+        ClassInventory(inv.corners, inv.morphemes, inv.classes, counts)
 
 
 @pytest.mark.parametrize("min_lexemes", [0, -5])
@@ -242,6 +258,11 @@ def test_max_iters_must_not_be_negative():
         RotationLearnConfig(max_iters=-3)
     # zero asks only which classes the base realizes as it is
     assert RotationLearnConfig(max_iters=0).max_iters == 0
+
+
+def test_runs_must_be_at_least_one():
+    with pytest.raises(ValueError, match="^runs must be at least 1$"):
+        RotationLearnConfig(runs=0)
 
 
 def test_learned_plan_serializes(nuer):
