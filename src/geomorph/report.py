@@ -1,13 +1,13 @@
 """Machine-readable run reports: JSON (full precision) and TSV (6 decimals).
 
-Reports are dicts with a schema version so saved JSON can be re-rendered
-later. Callers build every section from built-in JSON values (`labeled_matrix`
-converts its matrix with `tolist()`); a numpy value raises `TypeError` as it
-does in `json.dumps`. Serialization sorts keys, so identical runs give
-byte-identical files. A JSON report is one line; `loads` reads the indented
-layout that earlier versions wrote to the same value. A top-level section may
-also be `Rendered`, JSON text that `records` writes from columns; `dumps`
-splices it in, and writes the bytes `json.dumps` writes for the value it holds.
+Reports are dicts with a schema version so saved JSON can be re-rendered later.
+Callers build every section from built-in JSON values (`labeled_matrix` takes
+string labels); a numpy value raises `TypeError` as it does in `json.dumps`.
+Serialization sorts keys, so identical runs give byte-identical files. A JSON
+report is one line; `loads` reads the indented layout that earlier versions
+wrote to the same value. A top-level section may also be `Rendered`, JSON text
+that `records` writes from columns; `dumps` splices it in, and writes the bytes
+`json.dumps` writes for the value it holds.
 """
 from __future__ import annotations
 
@@ -52,8 +52,8 @@ def records(columns: dict) -> Rendered:
 
 def labeled_matrix(row_labels, col_labels, entries) -> dict:
     return {
-        "row_labels": [str(r) for r in row_labels],
-        "col_labels": [str(c) for c in col_labels],
+        "row_labels": list(row_labels),
+        "col_labels": list(col_labels),
         "entries": entries.tolist(),
     }
 
@@ -92,7 +92,7 @@ def loads(text: str) -> dict:
     report = json.loads(text)
     if type(report) is not dict:
         raise ValueError("a saved report must be a JSON object")
-    if report.get("schema") != SCHEMA_VERSION:
+    if type(report.get("schema")) is not int or report["schema"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema: {report.get('schema')!r}")
     return report
 

@@ -2,7 +2,9 @@ import argparse
 import gc
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -12,7 +14,7 @@ import pytest
 from geomorph import cli, paradigm
 from geomorph import report as rpt
 from geomorph.cli import main
-from geomorph.composition import seeded_random
+from geomorph.composition import AngleModel, seeded_random
 from geomorph.paradigm import ParadigmFile
 from test_report import built_in, loaded
 
@@ -149,9 +151,11 @@ def test_corrupt_saved_report_is_clean_exit_one(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "report", str(bad))
     assert code == 1 and "error" in err
-    bad.write_text('{"schema": 99}')
-    code, _, err = run(capsys, "report", str(bad))
-    assert code == 1 and "schema" in err
+    # only the integer 1 is schema 1: true and 1.0 compare equal to it, but are not it
+    for schema in ("99", "true", "1.0"):
+        bad.write_text('{"schema": %s}' % schema)
+        code, out, err = run(capsys, "report", str(bad))
+        assert (code, out) == (1, "") and "unsupported report schema" in err
     for text in ("[1]", '"s"', "null"):
         bad.write_text(text)
         code, out, err = run(capsys, "report", str(bad))
@@ -588,6 +592,33 @@ def test_an_op_parses_once_and_builds_one_corner_matrix(argv, capsys, monkeypatc
     counting(paradigm, "build_corner_matrix")
     run(capsys, *argv)
     assert calls == {"load_paradigm": 1, "corner_matrix": 1, "build_corner_matrix": 1}
+
+
+@pytest.mark.parametrize("argv,selections", [
+    (["compose", "german_plurals", "--seed", "3"], 50),
+    (["compose", "spanish_verbs"], 12),
+])
+def test_compose_selects_each_gold_form_once(argv, selections, capsys, monkeypatch):
+    # every selection, the CLI's or verify_gold_forms', measures each affix's sum once
+    calls = []
+    sum_distance = AngleModel.sum_distance
+    monkeypatch.setattr(AngleModel, "sum_distance",
+                        lambda *args: calls.append(args) or sum_distance(*args))
+    pf = cli.load_paradigm(argv[1])
+    assert len(pf.gold_forms()) * len(pf.affix_labels()) == selections
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == selections
+
+
+def test_module_entry_writes_what_main_writes(capsys):
+    argv = ["select", "english_weak_verb", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "geomorph.cli", *argv],
+                          env=env, capture_output=True)
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode("utf-8"), b"")
+    assert code == 0
 
 
 def test_repeated_ops_leave_no_small_tuples_behind(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomorph import report as rpt
+from geomorph.features import ParadigmCell
 
 
 # JSON's structural characters, escapes, non-ASCII and astral code points
@@ -115,8 +116,10 @@ def test_records_need_equal_columns():
         {"a": [1, np.int64(2)]},
         [{"rows": [{"i": 0}]}, object()],
         {"a": {(1, 2): "tuple keys are not JSON"}},
+        # labeled_matrix writes its labels as they are: it takes strings
+        {"m": rpt.labeled_matrix([ParadigmCell((("number", "sg"),))], ["s"], np.zeros((1, 1)))},
     ],
-    ids=["numpy-int", "object", "tuple-key"],
+    ids=["numpy-int", "object", "tuple-key", "label-object"],
 )
 def test_dumps_raises_type_error_where_json_does(value):
     with pytest.raises(TypeError):

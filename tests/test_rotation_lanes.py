@@ -3,7 +3,8 @@
 `sequential_learn` is the learner as it was written before runs were
 batched: one run, one cell at a time, scalar control flow. Every (class,
 run) lane of `learn_all_classes`, and every `learn_class_rotation` call,
-must reproduce it exactly: same plan, iterations, convergence and margin.
+must reproduce it exactly: same plan, iterations, convergence and margin,
+on Nuer, on hand-made class files and on class files Hypothesis generates.
 """
 import functools
 import itertools
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from geomorph import fixtures, parse_text, rotations
 from geomorph.exponence import activations, evaluate, gold_margins
@@ -253,6 +256,61 @@ def test_lanes_match_with_three_or_more_features(name, seed, runs, max_iters, fl
         assert any(not r.converged for r in records)
     else:
         assert any(r.converged and r.iterations > 7 for r in records)
+
+
+@st.composite
+def generated_classes(draw):
+    """A feature shape and classes for `_class_text`, made as MULTI_FEATURE's were.
+
+    Each class is the winners of one random unit configuration after 1-3
+    small plane rotations, so some of its runs converge and others do not.
+    Every exponent is attested in a class of at least 3 lexemes, and the
+    first class has at least 3, so the base configuration can be built.
+    """
+    shape = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(shape)
+    config = rng.standard_normal((dim, draw(st.integers(2, 5))))
+    config /= np.linalg.norm(config, axis=0)
+    starts = np.cumsum([0, *shape[:-1]])
+    cells = [starts + values for values in itertools.product(*map(range, shape))]
+    classes = {}
+    for c in range(draw(st.integers(1, 5))):
+        b = config.copy()
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = rng.choice(dim, 2, replace=False)
+            theta = rng.uniform(-0.5, 0.5)
+            b[[i, j]] = [math.cos(theta) * b[i] - math.sin(theta) * b[j],
+                         math.sin(theta) * b[i] + math.cos(theta) * b[j]]
+        winners = "".join("abcde"[b[coords].sum(axis=0).argmax()] for coords in cells)
+        classes[f"C{c}"] = [draw(st.integers(3 if c == 0 else 1, 20)), winners]
+    kept = {m for lexemes, winners in classes.values() if lexemes >= 3 for m in winners}
+    for entry in classes.values():  # a class with an exponent no kept class has is kept
+        if not set(entry[1]) <= kept:
+            entry[0] = 3
+            kept |= set(entry[1])
+    return tuple(shape), {label: tuple(entry) for label, entry in classes.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_classes(), st.integers(-3, 50), st.integers(1, 3),
+       st.sampled_from([1, 3, 10, 40]), st.sampled_from([0.02, 0.0, -0.1, 0.3]))
+def test_lanes_match_on_generated_class_files(classes, seed, runs, max_iters, floor):
+    text = _class_text(*classes)
+    cfg = RotationLearnConfig(margin_floor=floor, max_iters=max_iters, runs=runs, seed=seed)
+    handed = []
+    finish = rotations._finish_lane
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rotations, "_finish_lane",
+                      lambda *args: handed.append(args) or finish(*args))
+        stats, _ = _assert_lanes_match(text, cfg)
+    records = [r for s in stats for r in s.run_records]
+    if any(r.converged and r.rotations for r in records):
+        event("a lane converges after rotating")
+    if not all(r.converged for r in records):
+        event("a lane does not converge")
+    if handed:
+        event("the last lanes are handed over")
 
 
 @pytest.mark.parametrize("runs", [1, 3, 1009])

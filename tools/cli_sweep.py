@@ -20,11 +20,13 @@ LONG_RUN_OPS and the fourth LANE_TAIL_OPS, each group run after the earlier
 ones so that no earlier op number depends on it.
 
 Last, the sweep writes MANIFEST (`MANIFEST.sha256`) into OUT_DIR: a first line
-`# numpy <version>, <BLAS name> <version>`, then one `<sha256>  <file>` line
-per file in OUT_DIR but the manifest, sorted by name. Output bytes depend on
-how the BLAS build rounds, so the header names it. `tools/cli_sweep.sha256` is
-the manifest of the committed tree, and the sweep ends by comparing MANIFEST
-with it. If the headers match, it prints each output whose digest changed,
+`# numpy <version>, <BLAS name> <version>, <libc name> <version>`, then one
+`<sha256>  <file>` line per file in OUT_DIR but the manifest, sorted by name.
+Output bytes depend on how the BLAS build rounds products and on how libm rounds
+`math.sin`, `cos`, `exp`, `atan2` and `pow` (`compose` and `rotate` go through
+them), so the header names both builds. `tools/cli_sweep.sha256` is the
+manifest of the committed tree, and the sweep ends by comparing MANIFEST with
+it. If the headers match, it prints each output whose digest changed,
 is new or is gone, or "no output moved", and exits 0 only when none moved.
 If they differ, it names both builds, compares nothing and exits 1. A change
 that moves outputs commits the new manifest, whose diff then lists exactly
@@ -40,6 +42,7 @@ import hashlib
 import io
 import itertools
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -246,7 +249,8 @@ def write_manifest() -> int:
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     names = sorted(path.name for path in Path().iterdir() if path.name != MANIFEST)
-    lines = [f"# numpy {np.__version__}, {blas['name']} {blas['version']}"]
+    libc = " ".join(platform.libc_ver())
+    lines = [f"# numpy {np.__version__}, {blas['name']} {blas['version']}, {libc}"]
     lines += [f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}" for name in names]
     Path(MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(names)
@@ -255,8 +259,8 @@ def write_manifest() -> int:
 def compare_manifest(committed: Path) -> int:
     """Print how MANIFEST differs from `committed`; return how many outputs moved, or -1.
 
-    Manifests of two BLAS builds are not compared, since output bytes depend
-    on the build: then both headers are printed and -1 is returned.
+    Manifests of two BLAS or libm builds are not compared, since output bytes
+    depend on the build: then both headers are printed and -1 is returned.
     """
     def read(path):
         header, *lines = path.read_text(encoding="utf-8").splitlines()
