@@ -160,6 +160,8 @@ class RotationLearnConfig:
             raise ValueError("max_iters must be at least 0")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if not -(2**63) <= self.seed < 2**63:  # where seed mod 2**64 is one-to-one
+            raise ValueError(f"seed must be in [-2**63, 2**63), got {self.seed}")
 
 
 @dataclass
@@ -209,19 +211,15 @@ def _run_key(seed: int, c, r):
     """Key of run r of class c: word r of the stream keyed by word c of the seed's stream.
 
     `_mix` is one-to-one and `_GAMMA` odd, so distinct classes of one seed
-    get distinct keys, and so do distinct runs of one class. A key depends
-    on nothing else, so run r of class c is the same run in any batch.
+    get distinct keys, and so do distinct runs of one class; distinct seeds
+    of a config have distinct `seed & _MASK`. A key depends on nothing else,
+    so run r of class c is the same run in any batch.
     """
     return _word(_word(_mix(seed & _MASK), c), r)
 
 
-def _learn_lanes(
-    base: np.ndarray,
-    phi: np.ndarray,
-    goals: np.ndarray,
-    keys: np.ndarray,
-    cfg: RotationLearnConfig,
-) -> tuple[list[RunRecord], list]:
+def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.ndarray,
+                 cfg: RotationLearnConfig) -> tuple[list[RunRecord], list]:
     """Run the rotation search of `learn_class_rotation` for many lanes in lockstep.
 
     A lane is one run towards one target: its own copy of `base`, its own
@@ -237,12 +235,12 @@ def _learn_lanes(
     the floor. A lane's record is that of its first converged sub-iteration;
     it takes the rest of the iteration's steps, which lie past its plan's
     end, and leaves the stacks at the check, so lanes drop at most once per
-    iteration. The goal and rival columns of `b` are read at flat positions
-    too, all built once per lane drop. Per lane, the arithmetic and the
-    random picks are exactly those of a run on its own: sub-iteration k
-    turns toward coordinate `_pick(key, k, n)` of the cell's n, computed for
-    every live lane and `_BLOCK` sub-iterations at once, and the gain, cos,
-    sin and sign test are one pass of `math` scalars per sub-iteration.
+    iteration. A drop takes the live lanes' goal and rival positions from
+    tables built once, and rotated rows go back through a whole-row view.
+    Per lane, arithmetic and picks are exactly those of a run on its own:
+    sub-iteration k turns toward coordinate `_pick(key, k, n)` of the cell's
+    n, found for all live lanes and `_BLOCK` sub-iterations at once, and the
+    gain (`sigmoid_gain` inline), cos, sin and sign test are `math` scalars.
 
     A sub-iteration costs about the same numpy calls for one lane as for
     sixteen, so once at most `_FINISH_LANES` lanes are left, each finishes
@@ -256,13 +254,16 @@ def _learn_lanes(
     if not per_cell.all() or (per_cell != per_cell[0]).any():
         raise ShapeMismatch("every cell needs the same, non-zero number of coordinates")
     coords = np.nonzero(phi)[1].reshape(cells, -1)  # each cell's coordinates, ascending
-    converged = _convergence_test(cfg.margin_floor)
-    limit = cfg.max_iters * cells
+    converged, inc = _convergence_test(cfg.margin_floor), cfg.base_increment
+    limit, row_type = cfg.max_iters * cells, np.dtype((np.void, morph * base.itemsize))  # b's rows
     records: list[RunRecord | None] = [None] * len(keys)
     live = np.arange(len(keys))  # ids of the lanes still searching, ascending
     b = np.repeat(base[None], live.size, axis=0)
-    goal_index, (goal_at, rival_at) = goals.argmax(axis=2), _margin_positions(goals)
-    no_goal = np.where(goals, -np.inf, 0.0)  # added to activations, it hides the goals
+    goal_at, rival_at = _margin_positions(goals)  # a drop takes them from each lane's start
+    start = np.arange(0, goals.size, cells * morph)[:, None]  # in a raveled stack of products
+    goal_in, rival_in, goal_index = goal_at - start, rival_at - start, goals.argmax(axis=2).T
+    col_ats = np.arange(0, b.size, morph).reshape(-1, dim)  # b.reshape(-1) at (lane, axis, 0)
+    no_goal = np.where(goals, -np.inf, 0.0).transpose(1, 0, 2)  # added to acts, hides the goals
     towards = np.empty((0, live.size), dtype=coords.dtype)  # toward coordinates, (block, lanes)
     log = []  # one _stretch per run of sub-iterations with unchanged live lanes
     steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
@@ -272,11 +273,11 @@ def _learn_lanes(
         margins = _worst_margins(checked.reshape(len(checked), -1), goal_at, rival_at)
         ok = converged(margins)
         stack, worst = checked[-1], margins[-1]  # the activations the next sub-iteration reads
-        hit = ok.any(axis=0)
         # drop the lanes that converged; the first pass builds the positions
-        if steps is None or hit.any():
+        if steps is None or ok.any():
             if steps:
                 log.append(_stretch(live, steps))
+            hit = ok.any(axis=0)
             gone, kept = hit.nonzero()[0], (~hit).nonzero()[0]
             first = ok.argmax(axis=0)[gone]  # each converged lane's first converged product
             for lane, d, w in zip(live[gone].tolist(), (done + 1 - len(checked) + first).tolist(),
@@ -284,17 +285,16 @@ def _learn_lanes(
                 records[lane] = RunRecord(True, -(-d // cells), w, d)
             live, b, stack, worst, keys = (x.take(kept, axis=0)
                                            for x in (live, b, stack, worst, keys))
-            towards = towards.take(kept, axis=1)
-            steps = []
-            # kept lane k moves from position kept[k] of the stacks to position k
-            shift = (np.arange(live.size) - kept)[:, None] * (cells * morph)
-            goal_at, rival_at = (at.take(kept, axis=0) + shift for at in (goal_at, rival_at))
-            hide_goal, goal_of_cell = no_goal.take(live, axis=0), goal_index.take(live, axis=0).T
+            n, steps = live.size, []
+            goal_at, rival_at = (at.take(live, axis=0) + start[:n] for at in (goal_in, rival_in))
+            hide_goal, goal_of_cell = no_goal.take(live, axis=1), goal_index.take(live, axis=1)
             goal_list = goal_of_cell.tolist()
-            rows, flat_b = b.reshape(-1, morph), b.reshape(-1)  # lane l, axis d is row l * dim + d
-            first_row = np.arange(0, rows.shape[0], dim)
-            col_at = np.arange(0, b.size, morph).reshape(-1, dim)  # flat_b at (lane, axis, 0)
+            # lane l, axis d is row l * dim + d; `put` writes whole rows through the row view
+            rows, flat_b, row_view = b.reshape(-1, morph), b.reshape(-1), b.view(row_type).ravel()
+            col_at, first_row = col_ats[:n], col_ats[:n, 0] // morph
             goal_col = col_at + goal_of_cell[:, :, None]  # per cell, each lane's goal column
+            towards = towards.take(kept, axis=1)
+            toward_rows = first_row + towards
         if live.size <= _FINISH_LANES or done == limit:
             break
         checked = np.empty((cells, *stack.shape))
@@ -303,26 +303,25 @@ def _learn_lanes(
             if t == 0:
                 k = np.arange(done, min(done + _BLOCK, limit), dtype=np.uint64)[:, None]
                 towards = coords[k % cells, _pick(keys, k, coords.shape[1])]
-            n = live.size
+                toward_rows = first_row + towards
             acts = stack[:, i]
             # masked argmaxes: equal values go to the lowest index, as plans expect
-            rival = (acts + hide_goal[:, i]).argmax(axis=1)
-            toward_rows = first_row + towards[t]
+            rival = (acts + hide_goal[i]).argmax(axis=1)
             goal_x = flat_b.take(goal_col[i])  # (lanes, dim): each lane's goal column
             advantage = goal_x - flat_b.take(col_at + rival[:, None])
-            advantage.put(toward_rows, -np.inf)
+            advantage.put(toward_rows[t], -np.inf)
             away = advantage.argmax(axis=1)
             away_rows = first_row + away
             # rows (away, toward, toward, away): the rows to rotate, then their partners
-            at = np.concatenate((away_rows, toward_rows, toward_rows, away_rows))
+            at = np.concatenate((away_rows, toward_rows[t], toward_rows[t], away_rows))
             moved = at[: 2 * n]
             x = rows.take(at, axis=0)
             x_goal = goal_x.take(moved).tolist()  # the goal exponent's away, then toward coordinates
-            cos, sin, signed = [], [], []
+            cos, sin, nsin, signed = [], [], [], []
             for row, r, j, x_away, x_toward in zip(
                 acts.tolist(), rival.tolist(), goal_list[i], x_goal[:n], x_goal[n:]
             ):
-                theta = cfg.base_increment * sigmoid_gain(row[r], row[j])
+                theta = inc * (1.0 / (1.0 + math.exp(-2.0 * (row[r] - row[j]))) ** 2)
                 c, s = math.cos(theta), math.sin(theta)
                 # counter-clockwise in the (away, toward) plane unless clockwise raises the
                 # intended exponent's toward-coordinate more; rotating by -s is that branch, exactly
@@ -331,11 +330,12 @@ def _learn_lanes(
                     theta, s = -theta, -s
                 cos.append(c)
                 sin.append(s)
+                nsin.append(-s)
                 signed.append(theta)
             # away rows become c * x_away - s * x_toward, toward rows c * x_toward + s * x_away
-            factors = np.array(cos + cos + [-v for v in sin] + sin + signed)
+            factors = np.array(cos + cos + nsin + sin + signed)
             x *= factors[: 4 * n, None]
-            rows[moved] = x[: 2 * n] + x[2 * n :]
+            row_view.put(moved, (x[: 2 * n] + x[2 * n :]).view(row_type))
             steps.append((away, towards[t], factors[4 * n :]))  # the signed angles ride along
             np.matmul(phi, b, out=product)
             stack = product
@@ -349,7 +349,7 @@ def _learn_lanes(
     tails = []
     for k, (lane, key) in enumerate(zip(live.tolist(), keys.tolist())):
         records[lane], tail = _finish_lane(phi, b[k].tolist(), stack[k].tolist(),
-                                           goal_index[lane].tolist(), coords.tolist(), key,
+                                           goal_index[:, lane].tolist(), coords.tolist(), key,
                                            done, cfg)
         tails.append(tail)
     # one stretch for the finished lanes, the shorter steps padded past their plans' ends
@@ -358,37 +358,36 @@ def _learn_lanes(
     return records, log
 
 
-def _finish_lane(
-    phi: np.ndarray,
-    b: list[list[float]],
-    acts: list[list[float]],
-    goal: list[int],
-    coords: list[list[int]],
-    key: int,
-    done: int,
-    cfg: RotationLearnConfig,
-) -> tuple[RunRecord, tuple[list, list, list]]:
+def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]], goal: list[int],
+                 coords: list[list[int]], key: int, done: int,
+                 cfg: RotationLearnConfig) -> tuple[RunRecord, tuple[list, list, list]]:
     """Go on with one lane of `_learn_lanes` alone, on Python floats, from sub-iteration `done`.
 
     `b` is the lane's configuration and `acts` its activations `phi @ b`,
     both as lists of rows; `goal[c]` is the goal exponent of cell c and
     `coords[c]` the cell's coordinates. Sub-iteration k turns toward
-    coordinate `_pick(key, k, n)` of its cell's n, as in the lockstep, so
-    only the key is handed over. Every decision and every rounding is the
-    lockstep's: the rival and away are first maxima, as `argmax` picks them;
+    coordinate `_pick(key, k, n)` of its cell's n, as in the lockstep (all
+    found at once), so only the key is handed over. Every decision and every
+    rounding is the lockstep's: rival and away are first maxima, as `argmax`;
     the rows rotate as `c * x + (-s) * y` and `c * y + s * x`; and the
     activations are the rows of one 2-D product `phi @ b` per sub-iteration,
     which rounds as the stacked product does and as `activations` computes
-    them. The worst margin is the least, over cells, of the goal minus its
-    largest rival: rounded g - r never rises with r, so this inline loop is
-    `exponence._worst_margins` on the lane, kept here because it is the last
-    lanes' hot path.
+    them. The test is one comparison on the least, over cells, of the goal
+    minus its largest rival, so a step stops at the first cell that fails
+    it, trying first the cell that failed the step before. The worst margin
+    (`exponence._worst_margins` on the lane) is computed once, for the record.
 
     Returns the lane's record and its steps: away axes, toward axes and signed angles.
     """
     cells, converged = len(coords), _convergence_test(cfg.margin_floor)
     steps = away_log, toward_log, theta_log = [], [], []
-    for done in range(done, cfg.max_iters * cells):
+    picks = _pick(key, np.arange(done, cfg.max_iters * cells, dtype=np.uint64), len(coords[0]))
+
+    def margin(row, j):  # the goal's lead over its largest rival in one row of activations
+        return row[j] - max(row[:j] + row[j + 1 :], default=-math.inf)
+
+    stuck = 0  # the cell that failed the last check: it most often fails the next one too
+    for done, pick in enumerate(picks.tolist(), done):
         i = done % cells
         row, j = acts[i], goal[i]
         g, row[j] = row[j], -math.inf
@@ -396,7 +395,7 @@ def _finish_lane(
         row[j] = g
         theta = cfg.base_increment * sigmoid_gain(row[r], g)
         c, s = math.cos(theta), math.sin(theta)
-        toward = coords[i][_pick(key, done, len(coords[i]))]
+        toward = coords[i][pick]
         advantage = [x[j] - x[r] for x in b]
         advantage[toward] = -math.inf
         away = advantage.index(max(advantage))
@@ -410,14 +409,16 @@ def _finish_lane(
         toward_log.append(toward)
         theta_log.append(theta)
         acts = (phi @ np.array(b)).tolist()
-        worst = math.inf
-        for row, j in zip(acts, goal):
+        for stuck in (stuck, *range(cells)):  # the test is one comparison on the least margin
+            row, j = acts[stuck], goal[stuck]
             g, row[j] = row[j], -math.inf
-            worst = min(worst, g - max(row))
-            row[j] = g
-        if converged(worst):
-            return RunRecord(True, -(-(done + 1) // cells), worst, done + 1), steps
-    return RunRecord(False, cfg.max_iters, worst, done + 1), steps
+            lead, row[j] = g - max(row), g
+            if not converged(lead):
+                break
+        else:
+            break
+    worst = min(map(margin, acts, goal))
+    return RunRecord(converged(worst), -(-(done + 1) // cells), worst, done + 1), steps
 
 
 def _stretch(live: np.ndarray, steps: list) -> tuple:
@@ -526,9 +527,9 @@ def learn_all_classes(
             label, inv.lexeme_counts[label],
             inv.distance_between(label, base_label) if base_label is not None else -1,
             cfg.runs, len(done),
-            float(np.mean(iters)) if iters else None,
+            sum(iters) / len(iters) if iters else None,  # exact, as np.mean is on ints
             float(np.mean(margins)) if margins else None,
-            float(np.min(margins)) if margins else None,
+            min(margins) if margins else None,  # converged margins are positive: no -0.0
             next(plans) if done else None, tuple(runs),
         ))
     return stats, base_label

@@ -449,6 +449,25 @@ def test_negative_seeds_do_not_replay_positive_ones(tmp_path, capsys):
     assert runs["1"] != runs["-1"]
 
 
+@pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+def test_rotate_runs_at_both_ends_of_the_seed_range(seed, capsys):
+    code, out, _ = run(capsys, "rotate", "nuer_classes", "--max-iters", "1", "--seed", str(seed),
+                       "--plans", "--format", "json")
+    assert code in (0, 2) and json.loads(out)["config"]["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**64 - 1, 2**64])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_rotate_rejects_a_seed_outside_the_range(seed, from_env, capsys, monkeypatch):
+    # seed mod 2**64 keys the stream, so 2**64 - 1 would replay -1 and 2**64 replay 0
+    if from_env:
+        monkeypatch.setenv("GEOMORPH_SEED", str(seed))
+    argv = ["rotate", "nuer_classes", "--max-iters", "1"] + ([] if from_env else ["--seed", str(seed)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: seed must be in [-2**63, 2**63), got {seed}\n"
+
+
 # ---- the parser is built once per process: its text and its state ----
 
 HELP = """\

@@ -313,6 +313,55 @@ def test_lanes_match_on_generated_class_files(classes, seed, runs, max_iters, fl
         event("the last lanes are handed over")
 
 
+@st.composite
+def classes_near_the_base(draw):
+    """A feature shape and classes for `_class_text` whose runs often converge after rotating.
+
+    The first class, of 3-20 lexemes, is the winners of a random unit
+    configuration, as in `generated_classes`, and alone sets the base
+    configuration. Each other class, of 1 or 2 lexemes, is the winners of
+    the base after up to 20 plane rotations of at most 0.5 rad, stopping at
+    the first that moves a winner: the base does not realize it, a nearby
+    configuration does.
+    """
+    shape = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(shape)
+    starts = np.cumsum([0, *shape[:-1]])
+    cells = [starts + values for values in itertools.product(*map(range, shape))]
+
+    def winners(b, morphemes):
+        return "".join(morphemes[b[coords].sum(axis=0).argmax()] for coords in cells)
+
+    config = rng.standard_normal((dim, draw(st.integers(2, 5))))
+    config /= np.linalg.norm(config, axis=0)
+    classes = {"C0": (draw(st.integers(3, 20)), winners(config, "abcde"))}
+    base = base_configuration(parse_text(_class_text(shape, classes)).class_inventory(), 3)
+    for c in range(1, draw(st.integers(2, 5))):
+        b, own = np.array(base.matrix), winners(base.matrix, base.morphemes)
+        for _ in range(20):
+            i, j = rng.choice(dim, 2, replace=False)
+            theta = rng.uniform(-0.5, 0.5)
+            b[[i, j]] = [math.cos(theta) * b[i] - math.sin(theta) * b[j],
+                         math.sin(theta) * b[i] + math.cos(theta) * b[j]]
+            if winners(b, base.morphemes) != own:
+                break
+        classes[f"C{c}"] = (draw(st.integers(1, 2)), winners(b, base.morphemes))
+    return tuple(shape), classes
+
+
+# Searches long enough, at floors low enough, that lanes converge after rotating in
+# 28-46 % of examples (hypothesis seeds 1-5), where `generated_classes` reaches 4.5-18 %
+@settings(max_examples=100, deadline=None)
+@given(classes_near_the_base(), st.integers(-3, 50), st.integers(1, 3),
+       st.sampled_from([10, 40]), st.sampled_from([0.02, 0.0, -0.1]))
+def test_lanes_match_on_classes_near_the_base(classes, seed, runs, max_iters, floor):
+    cfg = RotationLearnConfig(margin_floor=floor, max_iters=max_iters, runs=runs, seed=seed)
+    stats, _ = _assert_lanes_match(_class_text(*classes), cfg)
+    if any(r.converged and r.rotations for s in stats for r in s.run_records):
+        event("a lane converges after rotating")
+
+
 @pytest.mark.parametrize("runs", [1, 3, 1009])
 def test_one_exponent_lanes_match_a_sequential_run(runs):
     stats, _ = _assert_lanes_match(ONE_EXPONENT, RotationLearnConfig(runs=runs, seed=2))
