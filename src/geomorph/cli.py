@@ -219,32 +219,14 @@ def cmd_compose(args, pf, config):
 
 def cmd_rotate(args, pf, config):
     inv = pf.class_inventory()
-    cfg = RotationLearnConfig(
-        base_increment=args.increment,
-        margin_floor=args.margin_floor,
-        max_iters=args.max_iters,
-        runs=args.runs,
-        seed=config["seed"],
-    )
+    cfg = RotationLearnConfig(base_increment=args.increment, margin_floor=args.margin_floor,
+                              max_iters=args.max_iters, runs=args.runs, seed=config["seed"])
     stats, base_label = learn_all_classes(inv, cfg, args.min_lexemes)
-    records = (
-        {"class": s.class_label, "run": run, **record._asdict()}
-        for s in stats
-        for run, record in enumerate(s.run_records)
-    )
-    rows = [
-        {
-            "class": s.class_label,
-            "lexemes": s.lexemes,
-            "distance": s.distance,
-            "runs": s.runs,
-            "converged_runs": s.converged_runs,
-            "mean_iterations": s.mean_iterations,
-            "mean_min_margin": s.mean_min_margin,
-            "smallest_margin": s.smallest_margin,
-        }
-        for s in stats
-    ]
+    records = ({"class": s.class_label, "run": run, **record._asdict()}
+               for s in stats for run, record in enumerate(s.run_records))
+    columns = ("lexemes", "distance", "runs", "converged_runs", "mean_iterations",
+               "mean_min_margin", "smallest_margin")
+    rows = [{"class": s.class_label, **{key: getattr(s, key) for key in columns}} for s in stats]
     sections = {"base_class": base_label, "classes": rows}
     if args.plans:
         plans = [s.first_plan for s in stats]

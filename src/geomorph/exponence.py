@@ -75,13 +75,26 @@ class SelectionTable:
         return tuple(self.winner(i) for i in range(self.matrix.shape[0]))
 
 
+def selection_tables(row_labels, morphemes, winner_lists) -> list[SelectionTable]:
+    """`selection_from_winners` for each list of winners: one 1.0 a row in one zeroed stack, so
+    the tables are one-hot by construction and of `SelectionTable`'s checks only shape can fail."""
+    row_labels, morphemes = tuple(row_labels), tuple(morphemes)
+    picks = [list(map(morphemes.index, winners)) for winners in winner_lists]
+    if any(len(p) != len(row_labels) for p in picks):
+        raise ShapeMismatch("selection table shape does not match labels")
+    stack = np.zeros((len(picks), len(row_labels), len(morphemes)))
+    rows = stack.reshape(-1, len(morphemes))
+    rows[np.arange(len(rows)), np.array(picks, dtype=np.intp).ravel()] = 1.0
+    tables = [object.__new__(SelectionTable) for _ in picks]
+    for table, matrix in zip(tables, _frozen(stack)):
+        table.__dict__.update(row_labels=row_labels, morphemes=morphemes, matrix=matrix,
+                              _one_hot=True)
+    return tables
+
+
 def selection_from_winners(row_labels, morphemes, winners) -> SelectionTable:
     """Build a one-hot SelectionTable from a winner label per row."""
-    morphemes = tuple(morphemes)
-    mat = np.zeros((len(winners), len(morphemes)))
-    for i, w in enumerate(winners):
-        mat[i, morphemes.index(w)] = 1.0
-    return SelectionTable(tuple(row_labels), morphemes, mat)
+    return selection_tables(row_labels, morphemes, [winners])[0]
 
 
 @dataclass(frozen=True)

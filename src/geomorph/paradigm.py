@@ -28,7 +28,7 @@ from .errors import (
     ParadigmSyntaxError,
     UndeclaredName,
 )
-from .exponence import SelectionTable, selection_from_winners
+from .exponence import SelectionTable, selection_from_winners, selection_tables
 from .features import (
     CornerMatrix,
     FeatureSystem,
@@ -85,12 +85,11 @@ class ParadigmFile:
 
     def class_inventory(self) -> ClassInventory:
         corners = self.corner_matrix()
-        tables = {
-            label: selection_from_winners(corners.row_labels, self.morphemes, [m for _, m in rows])
-            for label, _, rows in self.classes
-        }
-        lexemes = {label: count for label, count, _ in self.classes}
-        return ClassInventory(corners, tuple(self.morphemes), tables, lexemes)
+        tables = selection_tables(corners.row_labels, self.morphemes,
+                                  [[m for _, m in rows] for _, _, rows in self.classes])
+        return ClassInventory(corners, tuple(self.morphemes),
+                              dict(zip([label for label, _, _ in self.classes], tables)),
+                              {label: count for label, count, _ in self.classes})
 
     def stem_labels(self) -> tuple[str, ...]:
         return tuple([s for s, _ in self.stems])

@@ -11,7 +11,6 @@ that `records` writes from columns; `dumps` splices it in, and writes the bytes
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ class Rendered:
     text: str
 
 
-def _conversion(values: list) -> tuple[str, list]:
+def _conversion(values) -> tuple[str, list]:
     """A %-conversion that writes each value as `json.dumps` does, and the values it takes."""
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -39,15 +38,17 @@ def _conversion(values: list) -> tuple[str, list]:
 
 
 def records(columns: dict) -> Rendered:
-    """JSON text of the list whose record k holds value k of each of equal-length columns."""
+    """JSON text of the list whose record k holds value k of each of equal-length sequences."""
     keys = sorted(columns)
-    conversions = [_conversion(list(columns[key])) for key in keys]
-    row = "{" + ", ".join(_ENCODER.encode(key).replace("%", "%%") + ": " + conversion
-                          for key, (conversion, _) in zip(keys, conversions)) + "}"
-    values = tuple(itertools.chain.from_iterable(
-        zip(*(column for _, column in conversions), strict=True)))
+    conversions = [_conversion(columns[key]) for key in keys]
+    row = "{" + ", ".join([_ENCODER.encode(key).replace("%", "%%") + ": " + conversion
+                           for key, (conversion, _) in zip(keys, conversions)]) + "}"
+    n = len(conversions[0][1]) if keys else 0
+    values = [None] * (n * len(keys))  # record by record; a column of another length raises
+    for k, (_, column) in enumerate(conversions):  # ValueError in the slice assignment
+        values[k::len(keys)] = column
     # one %-format for the whole list: measured faster than one per record
-    return Rendered("[" + ", ".join([row] * (len(values) // max(len(keys), 1))) % values + "]")
+    return Rendered("[" + ", ".join([row] * n) % tuple(values) + "]")
 
 
 def labeled_matrix(row_labels, col_labels, entries) -> dict:

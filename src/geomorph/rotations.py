@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +24,8 @@ from .exponence import (
     _margin_positions,
     _worst_margins,
     activations,
-    count_features,
+    decide,
     normalize_columns,
-    select_winners,
 )
 from .features import CornerMatrix, _frozen
 
@@ -78,12 +77,13 @@ def apply_rotation(expo: ExponentMatrix, rotations) -> ExponentMatrix:
 
 @dataclass(frozen=True)
 class ClassInventory:
-    """Gold selection tables per class, plus how many lexemes attest each."""
+    """Gold selection tables per class, as a (classes, cells, exponents) mask `goals` too."""
 
     corners: CornerMatrix
     morphemes: tuple[str, ...]
     classes: dict[str, SelectionTable]
     lexeme_counts: dict[str, int]
+    goals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, table in self.classes.items():
@@ -94,29 +94,30 @@ class ClassInventory:
             table.require_one_hot()
         if set(self.lexeme_counts) != set(self.classes):
             raise ShapeMismatch("lexeme counts must cover exactly the classes")
+        tables = [table.matrix for table in self.classes.values()]
+        goals = np.reshape(tables, (-1, self.corners.num_cells, len(self.morphemes))) == 1.0
+        object.__setattr__(self, "goals", _frozen(goals))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.classes)
 
     def distance_between(self, a: str, b: str) -> int:
         """Number of cells where two classes pick different exponents."""
-        return int(
-            (self.classes[a].matrix != self.classes[b].matrix).any(axis=1).sum()
-        )
+        return int((self.classes[a].matrix != self.classes[b].matrix).any(axis=1).sum())
 
 
 def weighted_counts(inv: ClassInventory, min_lexemes: int = 3):
-    """Lexeme-count-weighted feature counts over the frequent classes."""
+    """Lexeme-count-weighted feature counts over the frequent classes, `cornersᵀ · Σ n_c G_c`:
+    every entry is an integer below 2**53, so it equals Σ n_c · count_features bit for bit."""
     if min_lexemes < 1:
         raise ValueError(f"min_lexemes must be at least 1, got {min_lexemes}")
-    kept = [c for c in inv.labels() if inv.lexeme_counts[c] >= min_lexemes]
+    labels = inv.labels()
+    weights = [n if (n := inv.lexeme_counts[label]) >= min_lexemes else 0 for label in labels]
+    kept = [label for label, n in zip(labels, weights) if n]
     if not kept:
         raise EmptyFilter(f"no class has at least {min_lexemes} lexemes")
-    total = sum(
-        inv.lexeme_counts[label] * count_features(inv.corners, inv.classes[label]).matrix
-        for label in kept
-    )
-    return CountArray(inv.morphemes, total), kept
+    weighted = np.array(weights, dtype=float) @ inv.goals.transpose(1, 0, 2)  # cell by cell
+    return CountArray(inv.morphemes, inv.corners.matrix.T @ weighted), kept
 
 
 def base_configuration(inv: ClassInventory, min_lexemes: int = 3) -> ExponentMatrix:
@@ -126,12 +127,12 @@ def base_configuration(inv: ClassInventory, min_lexemes: int = 3) -> ExponentMat
 
 
 def class_of_base(expo: ExponentMatrix, inv: ClassInventory) -> str | None:
-    """Which class, if any, the configuration realizes as-is."""
-    predicted, _ = select_winners(activations(inv.corners, expo))
-    for label, table in inv.classes.items():
-        if np.array_equal(predicted.matrix, table.matrix):
-            return label
-    return None
+    """Which class, if any, the configuration realizes as-is: the first whose table it selects."""
+    winners, _ = decide(activations(inv.corners, expo).matrix)
+    # one-hot rows agree where their winners do; a tie (-1) or another width agrees with none
+    hits = (inv.goals.argmax(axis=2) == winners).all(axis=1)
+    other_width = expo.matrix.shape[1] != len(inv.morphemes)
+    return None if other_width or not hits.any() else inv.labels()[hits.argmax()]
 
 
 def sigmoid_gain(a_winner: float, a_intended: float) -> float:
@@ -352,9 +353,9 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
                                            goal_index[:, lane].tolist(), coords.tolist(), key,
                                            done, cfg)
         tails.append(tail)
-    # one stretch for the finished lanes, the shorter steps padded past their plans' ends
-    log.append((live, *(np.array(list(itertools.zip_longest(*column, fillvalue=0)))
-                        for column in zip(*tails))))
+    if tails:  # one stretch for the finished lanes, shorter steps padded past their plans' ends
+        log.append((live, *(np.array(list(itertools.zip_longest(*column, fillvalue=0)))
+                            for column in zip(*tails))))
     return records, log
 
 
@@ -429,16 +430,18 @@ def _stretch(live: np.ndarray, steps: list) -> tuple:
 def _plans(log: list, wanted: list[tuple[int, int, str]]) -> list[RotationPlan]:
     """The rotation plans of the lanes in `wanted`, given as (lane, plan length, label)."""
     lanes = np.array([lane for lane, _, _ in wanted], dtype=np.intp)
-    columns = [[np.empty((0, lanes.size), dtype=np.intp)] for _ in range(3)]
-    # a lane is live in every stretch until its plan ends, so the first rows
-    # of its column are its plan; the rows after it left are never read
-    for live, *stretch in log:
-        k = np.minimum(live.searchsorted(lanes), live.size - 1)
-        for column, steps in zip(columns, stretch):
-            column.append(steps[:, k])
-    columns = [np.concatenate(column) for column in columns]
-    return [RotationPlan(label, *(tuple(c[:n, w].tolist()) for c in columns))
-            for w, (_, n, label) in enumerate(wanted)]
+    lengths, rows = [n for _, n, _ in wanted], [len(entry[1]) for entry in log]
+    # a lane is live in every stretch until its plan ends, so step g of its plan is in
+    # sub-iteration g of the stretches laid end to end, at the lane's place among their lanes
+    widths = np.repeat(np.array([entry[0].size for entry in log], dtype=np.intp), rows)
+    places = np.array([entry[0].searchsorted(lanes) for entry in log], dtype=np.intp)
+    at = places.reshape(len(log), lanes.size).repeat(rows, axis=0).T + (np.cumsum(widths) - widths)
+    at = at[np.arange(widths.size) < np.array(lengths, dtype=np.intp)[:, None]]  # plan by plan
+    # one read of each column: its stretches raveled end to end, every plan's steps taken at once
+    i, j, theta = [np.concatenate([np.empty(0, np.intp), *[entry[c] for entry in log]], axis=None)
+                   .take(at).tolist() for c in (1, 2, 3)]
+    return [RotationPlan(label, tuple(i[a:a + n]), tuple(j[a:a + n]), tuple(theta[a:a + n]))
+            for (_, n, label), a in zip(wanted, itertools.accumulate(lengths, initial=0))]
 
 
 def learn_class_rotation(
@@ -506,10 +509,9 @@ def learn_all_classes(
     `_run_key(cfg.seed, class index, run)`, and each run's result is the
     sequential run at its key. Lane memory grows with classes x runs.
     """
-    labels = inv.labels()
+    labels, goals = inv.labels(), inv.goals
     base = base_configuration(inv, min_lexemes)
     base_label = class_of_base(base, inv)
-    goals = np.stack([inv.classes[label].matrix == 1.0 for label in labels])
     keys = _run_key(cfg.seed, np.arange(len(labels), dtype=np.uint64)[:, None],
                     np.arange(cfg.runs, dtype=np.uint64)).ravel()
     records, log = _learn_lanes(
@@ -519,16 +521,16 @@ def learn_all_classes(
     firsts = [next((run for run, r in enumerate(runs) if r.converged), None) for runs in per_class]
     plans = iter(_plans(log, [(ci * cfg.runs + run, per_class[ci][run].rotations, labels[ci])
                               for ci, run in enumerate(firsts) if run is not None]))
+    distances = ((goals != goals[labels.index(base_label)]).any(axis=2).sum(axis=1).tolist()
+                 if base_label is not None else [-1] * len(labels))  # distance_between, at once
     stats = []
-    for label, runs in zip(labels, per_class):
+    for label, runs, distance in zip(labels, per_class, distances):
         done = [r for r in runs if r.converged]
         iters, margins = [r.iterations for r in done], [r.min_margin for r in done]
         stats.append(ClassRunStats(
-            label, inv.lexeme_counts[label],
-            inv.distance_between(label, base_label) if base_label is not None else -1,
-            cfg.runs, len(done),
+            label, inv.lexeme_counts[label], distance, cfg.runs, len(done),
             sum(iters) / len(iters) if iters else None,  # exact, as np.mean is on ints
-            float(np.mean(margins)) if margins else None,
+            float(np.add.reduce(margins) / len(margins)) if margins else None,  # np.mean's bits
             min(margins) if margins else None,  # converged margins are positive: no -0.0
             next(plans) if done else None, tuple(runs),
         ))

@@ -75,14 +75,15 @@ def delta_step(
 
     Raises ZeroColumn if an update annihilates a column (renormalization
     would be undefined), and UpdateOverflow if an update or its norm
-    overflows, which only a huge eta (about 1e154 and up) can cause.
+    overflows, which only a huge eta (about 1e154 and up) can cause: so no NaN
+    reaches the norms' `min`, as the inputs are finite and an overflow raises first.
     """
     gold.require_one_hot()
     b = np.array(expo.matrix)
     if cfg.eta == 0.0:
         return ExponentMatrix(expo.morphemes, b), ()
-    eta, cols = cfg.eta, corners.matrix[:, :, None]
-    squares, norms = np.empty_like(b), np.empty(b.shape[1])
+    eta, cols, last = cfg.eta, corners.matrix[:, :, None], corners.num_cells - 1
+    (err, norms), (update, squares) = np.empty((2, b.shape[1])), np.empty((2, *b.shape))  # reused
     moved = [False] * b.shape[1]
     try:
         with np.errstate(over="raise"):
@@ -92,15 +93,17 @@ def delta_step(
                 a = acts.tolist()
                 if cfg.error_driven and gold_wins(a, g):
                     continue
-                b += cols[i] * (eta * (gold.matrix[i] - acts))
+                np.multiply(np.subtract(gold.matrix[i], acts, out=err), eta, out=err)
+                b += np.multiply(cols[i], err, out=update)
                 # np.linalg.norm(b, axis=0) on real input minus its call overhead;
                 # any other order of the sum (a gemm, a row sum) changes the last bit
                 np.add.reduce(np.multiply(b, b, out=squares), axis=0, out=norms)
                 np.sqrt(norms, out=norms)
-                if np.minimum.reduce(norms) < 1e-12:
+                if min(norms.tolist()) < 1e-12:
                     raise ZeroColumn("update drove an exponent column to zero")
                 b /= norms
-                stack = corners.matrix @ b
+                if i < last:  # no row of the product after the last cell is read
+                    np.matmul(corners.matrix, b, out=stack)
                 if not all(moved):
                     for j, x in enumerate(a):  # column j moves unless target - x == 0
                         if x != (1.0 if j == g else 0.0):

@@ -17,6 +17,7 @@ from geomorph.cli import main
 from geomorph.composition import AngleModel, seeded_random
 from geomorph.paradigm import ParadigmFile
 from test_report import built_in, loaded
+from test_rotation_lanes import MULTI_FEATURE
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval
 
@@ -366,12 +367,18 @@ def test_compose_rejects_non_finite_parameters(capsys, option, name, value):
         assert name in err
 
 
+FOUR_FEATURE_CLASSES = "classes_3x2x2x2.par"  # written into the test's directory
 FLAT_FIXTURES = ["english_weak_verb", "german_present", "german_full",
                  "latin_adjectives", "russian_class_one", "latin_deponent"]
 JSON_COMMANDS = (
     [(command, name) for name in FLAT_FIXTURES for command in ("select", "train", "init")]
     + [("init", "nuer_classes"), ("rotate", "nuer_classes", "--plans", "--runs", "3"),
        ("compose", "german_plurals"), ("compose", "spanish_verbs")]
+    # the benchmark's rotate op at three of its op seeds
+    + [("rotate", "nuer_classes", "--runs", "1", "--max-iters", "50", "--seed", str(seed),
+        "--plans") for seed in (100000, 100001, 100002)]
+    # four features, one iteration: some plan is unconverged and written as "rotations": []
+    + [("rotate", FOUR_FEATURE_CLASSES, "--max-iters", "1", "--plans")]
 )
 
 
@@ -388,7 +395,12 @@ def test_json_reports_are_one_line_json_dumps(capsys, argv, tmp_path, monkeypatc
                         lambda record: dumps_line(records.append(record) or record))
     trace = tmp_path / "trace.jsonl"
     traced = ["--trace", str(trace)] if argv[0] in ("train", "rotate") else []
+    if argv[1] == FOUR_FEATURE_CLASSES:
+        (tmp_path / FOUR_FEATURE_CLASSES).write_text(MULTI_FEATURE["3x2x2x2"], encoding="utf-8")
+        argv = (argv[0], str(tmp_path / FOUR_FEATURE_CLASSES), *argv[2:])
     _, out, _ = run(capsys, *argv, *traced, "--format", "json")
+    if FOUR_FEATURE_CLASSES in argv[1]:
+        assert '"converged": false, "rotations": []' in out
     # float repr round-trips exactly, so re-dumping the parsed report
     # reproduces what was written for the original values
     assert out.endswith("\n") and "\n" not in out[:-1]

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from test_rotation_lanes import _class_text, generated_classes
 
 from geomorph import (
     ClassInventory,
@@ -13,18 +16,23 @@ from geomorph import (
     apply_rotation,
     base_configuration,
     class_of_base,
+    count_features,
     deponent_transform,
     gram_matrix,
     initial_exponents,
+    learn_all_classes,
     learn_class_rotation,
+    parse_text,
     select_winners,
     sigmoid_gain,
     weighted_counts,
 )
+from geomorph import fixtures, rotations
 from geomorph import report as rpt
 from geomorph.errors import BadAxis, EmptyFilter, ShapeMismatch
 from geomorph.exponence import SelectionTable
 from geomorph.features import CornerMatrix
+from geomorph.rotations import RunRecord
 
 # weighted attestation counts computed from the class table, frequent classes only
 NUER_COUNTS = {
@@ -92,6 +100,46 @@ def test_weighted_counts_rejects_min_lexemes_below_one(nuer, min_lexemes):
     # every class has at least one lexeme, so such a filter would keep them all
     with pytest.raises(ValueError, match="min_lexemes must be at least 1"):
         weighted_counts(nuer.class_inventory(), min_lexemes)
+
+
+# class files whose cells have 2 or 4 coordinates (one per feature)
+@settings(max_examples=80, deadline=None)
+@given(generated_classes().filter(lambda classes: len(classes[0]) in (2, 4)), st.data())
+def test_weighted_counts_is_the_sum_of_per_class_counts_bit_for_bit(classes, data):
+    shape, drawn = classes
+    lexemes = st.integers(1, 10**6)
+    inv = parse_text(_class_text(shape, {label: (data.draw(lexemes), cells)
+                                         for label, (_, cells) in drawn.items()})).class_inventory()
+    min_lexemes = data.draw(st.one_of(st.integers(1, 3), lexemes))
+    kept = [label for label in inv.labels() if inv.lexeme_counts[label] >= min_lexemes]
+    if not kept:
+        with pytest.raises(EmptyFilter):
+            weighted_counts(inv, min_lexemes)
+        return
+    event(f"{len(shape)}-coordinate cells")
+    counts, got_kept = weighted_counts(inv, min_lexemes)
+    per_class = sum(inv.lexeme_counts[c] * count_features(inv.corners, inv.classes[c]).matrix
+                    for c in kept)
+    assert got_kept == kept
+    assert counts.matrix.dtype == per_class.dtype and counts.matrix.tobytes() == per_class.tobytes()
+
+
+# margins as the learner records them: finite, with signed zeros and subnormals
+awkward_margins = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310])
+margin_lists = st.lists(st.one_of(st.floats(-4, 4), awkward_margins), min_size=1, max_size=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_lists)
+def test_stats_mean_min_margin_is_np_mean_bit_for_bit(margins):
+    # one class, one converged run per margin: the lockstep is replaced by the runs' records
+    inv = fixtures.load("nuer_classes").class_inventory()
+    solo = ClassInventory(inv.corners, inv.morphemes, {"III": inv.classes["III"]}, {"III": 3})
+    records = [RunRecord(True, 0, margin, 0) for margin in margins]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rotations, "_learn_lanes", lambda *args: (records, []))
+        (stats,), _ = learn_all_classes(solo, RotationLearnConfig(runs=len(margins)))
+    assert stats.mean_min_margin.hex() == float(np.mean(margins)).hex()
 
 
 def test_single_class_weighting_degenerates_to_plain_init(nuer):
