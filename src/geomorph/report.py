@@ -34,6 +34,8 @@ def _conversion(values) -> tuple[str, list]:
         return "%d", values
     if kinds == {float} and math.isfinite(sum(values)):  # json writes a finite float's repr
         return "%r", values
+    if kinds == {bool}:
+        return "%s", ["true" if v else "false" for v in values]
     return "%s", [v.text if type(v) is Rendered else _ENCODER.encode(v) for v in values]
 
 

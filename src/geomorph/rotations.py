@@ -8,7 +8,6 @@ exponent column alike so lengths and mutual angles never change.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -108,7 +107,8 @@ class ClassInventory:
 
 def weighted_counts(inv: ClassInventory, min_lexemes: int = 3):
     """Lexeme-count-weighted feature counts over the frequent classes, `cornersᵀ · Σ n_c G_c`:
-    every entry is an integer below 2**53, so it equals Σ n_c · count_features bit for bit."""
+    every entry is an integer at most Σ n_c · cells, checked to be below 2**53, so it equals
+    Σ n_c · count_features bit for bit."""
     if min_lexemes < 1:
         raise ValueError(f"min_lexemes must be at least 1, got {min_lexemes}")
     labels = inv.labels()
@@ -116,6 +116,9 @@ def weighted_counts(inv: ClassInventory, min_lexemes: int = 3):
     kept = [label for label, n in zip(labels, weights) if n]
     if not kept:
         raise EmptyFilter(f"no class has at least {min_lexemes} lexemes")
+    if sum(weights) * inv.corners.num_cells >= 2**53:
+        raise ValueError("lexeme counts too large: the kept classes' lexemes times the cells "
+                         "must be below 2**53")
     weighted = np.array(weights, dtype=float) @ inv.goals.transpose(1, 0, 2)  # cell by cell
     return CountArray(inv.morphemes, inv.corners.matrix.T @ weighted), kept
 
@@ -246,9 +249,11 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
     A sub-iteration costs about the same numpy calls for one lane as for
     sixteen, so once at most `_FINISH_LANES` lanes are left, each finishes
     alone in `_finish_lane`, which goes on with its picks from the
-    sub-iteration reached. Their steps close the log as one stretch.
+    sub-iteration reached.
 
-    Returns one record per lane and the sub-iteration log `_plans` reads.
+    Returns one record per lane and one log per lane: its steps one after
+    another, each as away axis, toward axis and signed angle. A lane's plan
+    is the first `rotations` steps of its log (see `_plan`).
     """
     cells, (dim, morph) = phi.shape[0], base.shape
     per_cell = np.count_nonzero(phi, axis=1)
@@ -258,6 +263,7 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
     converged, inc = _convergence_test(cfg.margin_floor), cfg.base_increment
     limit, row_type = cfg.max_iters * cells, np.dtype((np.void, morph * base.itemsize))  # b's rows
     records: list[RunRecord | None] = [None] * len(keys)
+    logs = [[] for _ in range(len(keys))]  # per lane: away, toward, signed angle, step by step
     live = np.arange(len(keys))  # ids of the lanes still searching, ascending
     b = np.repeat(base[None], live.size, axis=0)
     goal_at, rival_at = _margin_positions(goals)  # a drop takes them from each lane's start
@@ -266,8 +272,6 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
     col_ats = np.arange(0, b.size, morph).reshape(-1, dim)  # b.reshape(-1) at (lane, axis, 0)
     no_goal = np.where(goals, -np.inf, 0.0).transpose(1, 0, 2)  # added to acts, hides the goals
     towards = np.empty((0, live.size), dtype=coords.dtype)  # toward coordinates, (block, lanes)
-    log = []  # one _stretch per run of sub-iterations with unchanged live lanes
-    steps = None  # the current stretch, per sub-iteration: away, toward, signed angles
     done = 0  # sub-iterations every live lane has taken
     checked = (phi @ b)[None]  # (sub-iterations, lanes, cells, exponents): products to check
     while True:
@@ -275,9 +279,7 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
         ok = converged(margins)
         stack, worst = checked[-1], margins[-1]  # the activations the next sub-iteration reads
         # drop the lanes that converged; the first pass builds the positions
-        if steps is None or ok.any():
-            if steps:
-                log.append(_stretch(live, steps))
+        if done == 0 or ok.any():
             hit = ok.any(axis=0)
             gone, kept = hit.nonzero()[0], (~hit).nonzero()[0]
             first = ok.argmax(axis=0)[gone]  # each converged lane's first converged product
@@ -286,7 +288,7 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
                 records[lane] = RunRecord(True, -(-d // cells), w, d)
             live, b, stack, worst, keys = (x.take(kept, axis=0)
                                            for x in (live, b, stack, worst, keys))
-            n, steps = live.size, []
+            n, live_logs = live.size, [logs[lane] for lane in live.tolist()]
             goal_at, rival_at = (at.take(live, axis=0) + start[:n] for at in (goal_in, rival_in))
             hide_goal, goal_of_cell = no_goal.take(live, axis=1), goal_index.take(live, axis=1)
             goal_list = goal_of_cell.tolist()
@@ -318,9 +320,10 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
             moved = at[: 2 * n]
             x = rows.take(at, axis=0)
             x_goal = goal_x.take(moved).tolist()  # the goal exponent's away, then toward coordinates
-            cos, sin, nsin, signed = [], [], [], []
-            for row, r, j, x_away, x_toward in zip(
-                acts.tolist(), rival.tolist(), goal_list[i], x_goal[:n], x_goal[n:]
+            cos, sin, nsin = [], [], []
+            for steps, row, r, j, x_away, x_toward, axis_i, axis_j in zip(
+                live_logs, acts.tolist(), rival.tolist(), goal_list[i], x_goal[:n], x_goal[n:],
+                away.tolist(), towards[t].tolist()
             ):
                 theta = inc * (1.0 / (1.0 + math.exp(-2.0 * (row[r] - row[j]))) ** 2)
                 c, s = math.cos(theta), math.sin(theta)
@@ -332,36 +335,28 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
                 cos.append(c)
                 sin.append(s)
                 nsin.append(-s)
-                signed.append(theta)
+                steps += axis_i, axis_j, theta
             # away rows become c * x_away - s * x_toward, toward rows c * x_toward + s * x_away
-            factors = np.array(cos + cos + nsin + sin + signed)
-            x *= factors[: 4 * n, None]
+            x *= np.array(cos + cos + nsin + sin)[:, None]
             row_view.put(moved, (x[: 2 * n] + x[2 * n :]).view(row_type))
-            steps.append((away, towards[t], factors[4 * n :]))  # the signed angles ride along
             np.matmul(phi, b, out=product)
             stack = product
             done += 1
-    if steps:
-        log.append(_stretch(live, steps))
     if done == limit:
         for lane, w in zip(live.tolist(), worst.tolist()):
             records[lane] = RunRecord(False, cfg.max_iters, w, done)
-        return records, log
-    tails = []
+        return records, logs
     for k, (lane, key) in enumerate(zip(live.tolist(), keys.tolist())):
-        records[lane], tail = _finish_lane(phi, b[k].tolist(), stack[k].tolist(),
-                                           goal_index[:, lane].tolist(), coords.tolist(), key,
-                                           done, cfg)
-        tails.append(tail)
-    if tails:  # one stretch for the finished lanes, shorter steps padded past their plans' ends
-        log.append((live, *(np.array(list(itertools.zip_longest(*column, fillvalue=0)))
-                            for column in zip(*tails))))
-    return records, log
+        records[lane], steps = _finish_lane(phi, b[k].tolist(), stack[k].tolist(),
+                                            goal_index[:, lane].tolist(), coords.tolist(), key,
+                                            done, cfg)
+        logs[lane] += steps
+    return records, logs
 
 
 def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]], goal: list[int],
                  coords: list[list[int]], key: int, done: int,
-                 cfg: RotationLearnConfig) -> tuple[RunRecord, tuple[list, list, list]]:
+                 cfg: RotationLearnConfig) -> tuple[RunRecord, list]:
     """Go on with one lane of `_learn_lanes` alone, on Python floats, from sub-iteration `done`.
 
     `b` is the lane's configuration and `acts` its activations `phi @ b`,
@@ -378,10 +373,10 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
     it, trying first the cell that failed the step before. The worst margin
     (`exponence._worst_margins` on the lane) is computed once, for the record.
 
-    Returns the lane's record and its steps: away axes, toward axes and signed angles.
+    Returns the lane's record and its steps, as `_learn_lanes` logs them.
     """
     cells, converged = len(coords), _convergence_test(cfg.margin_floor)
-    steps = away_log, toward_log, theta_log = [], [], []
+    steps = []
     picks = _pick(key, np.arange(done, cfg.max_iters * cells, dtype=np.uint64), len(coords[0]))
 
     def margin(row, j):  # the goal's lead over its largest rival in one row of activations
@@ -406,9 +401,7 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
             theta, s = -theta, -s
         b[away] = [c * x + -s * y for x, y in zip(x_away, x_toward)]
         b[toward] = [c * y + s * x for x, y in zip(x_away, x_toward)]
-        away_log.append(away)
-        toward_log.append(toward)
-        theta_log.append(theta)
+        steps += away, toward, theta
         acts = (phi @ np.array(b)).tolist()
         for stuck in (stuck, *range(cells)):  # the test is one comparison on the least margin
             row, j = acts[stuck], goal[stuck]
@@ -422,26 +415,10 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
     return RunRecord(converged(worst), -(-(done + 1) // cells), worst, done + 1), steps
 
 
-def _stretch(live: np.ndarray, steps: list) -> tuple:
-    """Sub-iteration records of unchanged live lanes as (sub-iterations, lanes) arrays."""
-    return live, *(np.concatenate(column).reshape(len(steps), -1) for column in zip(*steps))
-
-
-def _plans(log: list, wanted: list[tuple[int, int, str]]) -> list[RotationPlan]:
-    """The rotation plans of the lanes in `wanted`, given as (lane, plan length, label)."""
-    lanes = np.array([lane for lane, _, _ in wanted], dtype=np.intp)
-    lengths, rows = [n for _, n, _ in wanted], [len(entry[1]) for entry in log]
-    # a lane is live in every stretch until its plan ends, so step g of its plan is in
-    # sub-iteration g of the stretches laid end to end, at the lane's place among their lanes
-    widths = np.repeat(np.array([entry[0].size for entry in log], dtype=np.intp), rows)
-    places = np.array([entry[0].searchsorted(lanes) for entry in log], dtype=np.intp)
-    at = places.reshape(len(log), lanes.size).repeat(rows, axis=0).T + (np.cumsum(widths) - widths)
-    at = at[np.arange(widths.size) < np.array(lengths, dtype=np.intp)[:, None]]  # plan by plan
-    # one read of each column: its stretches raveled end to end, every plan's steps taken at once
-    i, j, theta = [np.concatenate([np.empty(0, np.intp), *[entry[c] for entry in log]], axis=None)
-                   .take(at).tolist() for c in (1, 2, 3)]
-    return [RotationPlan(label, tuple(i[a:a + n]), tuple(j[a:a + n]), tuple(theta[a:a + n]))
-            for (_, n, label), a in zip(wanted, itertools.accumulate(lengths, initial=0))]
+def _plan(label: str, steps: list, rotations: int) -> RotationPlan:
+    """The plan of the first `rotations` steps of a lane's log."""
+    steps = steps[: 3 * rotations]
+    return RotationPlan(label, tuple(steps[::3]), tuple(steps[1::3]), tuple(steps[2::3]))
 
 
 def learn_class_rotation(
@@ -476,11 +453,11 @@ def learn_class_rotation(
             or base.matrix.shape[0] != corners.matrix.shape[1]):
         raise ShapeMismatch("base, corners and target must agree on morphemes, cells and axes")
     target.require_one_hot()
-    (record,), log = _learn_lanes(
+    (record,), (steps,) = _learn_lanes(
         base.matrix, corners.matrix, (target.matrix == 1.0)[None],
         np.array([_run_key(cfg.seed, 0, 0)], dtype=np.uint64), cfg
     )
-    (plan,) = _plans(log, [(0, record.rotations, class_label)])
+    plan = _plan(class_label, steps, record.rotations)
     return RotationLearnResult(plan, record.iterations, record.converged, record.min_margin)
 
 
@@ -507,32 +484,32 @@ def learn_all_classes(
 
     Every (class, run) pair is one lane of a single lockstep search, keyed
     `_run_key(cfg.seed, class index, run)`, and each run's result is the
-    sequential run at its key. Lane memory grows with classes x runs.
+    sequential run at its key. Lane memory, each lane's log of its steps
+    included, grows with classes x runs.
     """
     labels, goals = inv.labels(), inv.goals
     base = base_configuration(inv, min_lexemes)
     base_label = class_of_base(base, inv)
     keys = _run_key(cfg.seed, np.arange(len(labels), dtype=np.uint64)[:, None],
                     np.arange(cfg.runs, dtype=np.uint64)).ravel()
-    records, log = _learn_lanes(
+    records, logs = _learn_lanes(
         base.matrix, inv.corners.matrix, np.repeat(goals, cfg.runs, axis=0), keys, cfg
     )
     per_class = [records[ci * cfg.runs : (ci + 1) * cfg.runs] for ci in range(len(labels))]
-    firsts = [next((run for run, r in enumerate(runs) if r.converged), None) for runs in per_class]
-    plans = iter(_plans(log, [(ci * cfg.runs + run, per_class[ci][run].rotations, labels[ci])
-                              for ci, run in enumerate(firsts) if run is not None]))
     distances = ((goals != goals[labels.index(base_label)]).any(axis=2).sum(axis=1).tolist()
                  if base_label is not None else [-1] * len(labels))  # distance_between, at once
     stats = []
-    for label, runs, distance in zip(labels, per_class, distances):
+    for ci, (label, runs, distance) in enumerate(zip(labels, per_class, distances)):
         done = [r for r in runs if r.converged]
+        first = next((run for run, r in enumerate(runs) if r.converged), 0)
         iters, margins = [r.iterations for r in done], [r.min_margin for r in done]
         stats.append(ClassRunStats(
             label, inv.lexeme_counts[label], distance, cfg.runs, len(done),
             sum(iters) / len(iters) if iters else None,  # exact, as np.mean is on ints
             float(np.add.reduce(margins) / len(margins)) if margins else None,  # np.mean's bits
             min(margins) if margins else None,  # converged margins are positive: no -0.0
-            next(plans) if done else None, tuple(runs),
+            _plan(label, logs[ci * cfg.runs + first], runs[first].rotations) if done else None,
+            tuple(runs),
         ))
     return stats, base_label
 

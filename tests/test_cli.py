@@ -179,6 +179,17 @@ def test_bad_env_seed_is_clean_exit_one(capsys, monkeypatch):
     assert code == 1 and "GEOMORPH_SEED" in err
 
 
+# 10**400 is past any float; at 2**70 the weighted counts are past 2**53, no longer exact
+@pytest.mark.parametrize("lexemes", [10**400, 2**70])
+@pytest.mark.parametrize("command", ["init", "rotate"])
+def test_huge_lexeme_count_is_clean_exit_one(tmp_path, capsys, command, lexemes):
+    path = tmp_path / "huge.par"
+    path.write_text("FEATURE number: sg pl\nMORPHEMES: a b\n"
+                    f"CLASS A LEXEMES {lexemes}\nCELL sg -> a\nCELL pl -> b\nEND\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "") and err.startswith("error: lexeme counts too large: ")
+
+
 def test_json_reports_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -87,6 +87,16 @@ def test_records_match_json_dumps_for_any_columns(columns):
     assert text == json.dumps(as_rows(columns), sort_keys=True, ensure_ascii=False)
 
 
+# columns of one kind, as the learners write them: bools (`converged`), ints, floats
+@given(st.integers(0, 20).flatmap(lambda n: st.dictionaries(strings, st.one_of(
+    *(st.lists(kind, min_size=n, max_size=n) for kind in (st.booleans(), ints, floats))),
+    max_size=4)))
+@settings(max_examples=200, deadline=None)
+def test_records_match_json_dumps_for_one_kind_columns(columns):
+    text = rpt.records(columns).text
+    assert text == json.dumps(as_rows(columns), sort_keys=True, ensure_ascii=False)
+
+
 def test_rendered_sections_splice_into_the_report_bytes():
     plans = {
         "class": ["I", 'q"uote', "ŋ"],

@@ -102,6 +102,22 @@ def test_weighted_counts_rejects_min_lexemes_below_one(nuer, min_lexemes):
         weighted_counts(nuer.class_inventory(), min_lexemes)
 
 
+def test_weighted_counts_keeps_its_entries_below_2_to_the_53(nuer):
+    # an entry is at most the kept lexemes times the cells (6 in Nuer), so it is exact
+    # below 2**53; a class of fewer lexemes than the filter does not count
+    inv = nuer.class_inventory()
+    first, *rest = inv.labels()
+    below = {first: 2**53 // 6, **{label: 1 for label in rest}}
+    solo = ClassInventory(inv.corners, inv.morphemes, inv.classes, below)
+    counts, kept = weighted_counts(solo, 2)
+    one = count_features(inv.corners, inv.classes[first]).matrix.tolist()
+    assert kept == [first]
+    assert counts.matrix.tolist() == [[2**53 // 6 * int(n) for n in row] for row in one]
+    solo = ClassInventory(inv.corners, inv.morphemes, inv.classes, {**below, rest[0]: 2})
+    with pytest.raises(ValueError, match=r"lexeme counts too large: .* below 2\*\*53"):
+        weighted_counts(solo, 2)
+
+
 # class files whose cells have 2 or 4 coordinates (one per feature)
 @settings(max_examples=80, deadline=None)
 @given(generated_classes().filter(lambda classes: len(classes[0]) in (2, 4)), st.data())
@@ -132,12 +148,13 @@ margin_lists = st.lists(st.one_of(st.floats(-4, 4), awkward_margins), min_size=1
 @settings(max_examples=300, deadline=None)
 @given(margin_lists)
 def test_stats_mean_min_margin_is_np_mean_bit_for_bit(margins):
-    # one class, one converged run per margin: the lockstep is replaced by the runs' records
+    # one class, one converged run per margin: the lockstep is replaced by the runs'
+    # records and an empty log per run
     inv = fixtures.load("nuer_classes").class_inventory()
     solo = ClassInventory(inv.corners, inv.morphemes, {"III": inv.classes["III"]}, {"III": 3})
     records = [RunRecord(True, 0, margin, 0) for margin in margins]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rotations, "_learn_lanes", lambda *args: (records, []))
+        patch.setattr(rotations, "_learn_lanes", lambda *args: (records, [[] for _ in records]))
         (stats,), _ = learn_all_classes(solo, RotationLearnConfig(runs=len(margins)))
     assert stats.mean_min_margin.hex() == float(np.mean(margins)).hex()
 

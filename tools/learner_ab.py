@@ -1,6 +1,7 @@
 """Time one learner of two geomorph checkouts against each other, in one process.
 
-    python tools/learner_ab.py {rotate,train,compose} SRC_A SRC_B [--rounds N] [--ops N] [--seed N]
+    python tools/learner_ab.py {rotate,train,compose,fixture} SRC_A SRC_B [--rounds N] [--ops N]
+                               [--seed N]
 
 SRC_A and SRC_B are directories that hold a `geomorph` package (a checkout's
 `src`). Both packages are copied into a temporary directory as `geomorph_a` and
@@ -26,6 +27,12 @@ load falls on both alike. The learner decides the calls:
   german_plurals --seed s` runs it, at the op seeds SEED * 100000 + k for k <
   OPS. The sides must learn the same angles (bit for bit), iterations,
   convergence and adjustment counts.
+- fixture: the flat-fixture ops of perfbench's `fixture_cli` workload, whole:
+  `geomorph.cli.main` on `select`, `train` and `init` (`--format json`) of each
+  of its six flat fixtures, one shape per command, then `compose german_plurals
+  --format json` at the op seeds. They also time parse, report and argparse, so
+  a slowdown of `fixture_cli` shows here in seconds. The sides must exit with
+  the same code and write the same stdout, byte for byte.
 
 Both sides make each call back to back, the side that goes first alternating
 from call to call and from round to round; the run stops at the first call
@@ -62,8 +69,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED_STRIDE = 100_000  # as perfbench's op seeds
 # Shapes whose every call is made this many times a round, its least time counting:
 # one --runs 100 call takes about a second, and its one-call ratio swung from 0.83
-# to 1.14 between the rounds of a single comparison
-BEST_OF = {"runs_100": 5}
+# to 1.14 between the rounds of a single comparison; a round of a flat fixture
+# shape sums six calls of about a millisecond, and its ratio swung by 7 %
+BEST_OF = {"runs_100": 5, "select": 10, "train": 10, "init": 10}
 
 
 def load_package(src: str, name: str, into: Path):
@@ -75,6 +83,14 @@ def load_package(src: str, name: str, into: Path):
 
 def op_seeds(args) -> list[int]:
     return [args.seed * SEED_STRIDE + k for k in range(args.ops)]
+
+
+def cli_call(cli, argv: list[str]) -> tuple[int, str]:
+    """The exit code of `cli.main(argv)` and what it wrote to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
 
 
 def rotate_calls(pkg, args) -> dict:
@@ -90,11 +106,8 @@ def rotate_calls(pkg, args) -> dict:
                 for s in stats]
 
     def op(seed):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["rotate", "nuer_classes", "--runs", "1", "--max-iters", "50",
-                             "--seed", str(seed), "--plans", "--format", "json"])
-        return code, out.getvalue()
+        return cli_call(cli, ["rotate", "nuer_classes", "--runs", "1", "--max-iters", "50",
+                              "--seed", str(seed), "--plans", "--format", "json"])
 
     return {"nuer_rotate": [functools.partial(call, s, runs=1, max_iters=50)
                             for s in op_seeds(args)],
@@ -105,13 +118,18 @@ def rotate_calls(pkg, args) -> dict:
 
 
 @functools.cache
+def workloads():
+    """This checkout's `perfbench/workloads.py`."""
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    return importlib.import_module("perfbench.workloads")
+
+
+@functools.cache
 def pool_texts(seed: int) -> tuple[str, ...]:
     """The `.par` texts of `synthetic_train`'s pool paradigms at workload seed `seed`."""
-    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
-    from perfbench.workloads import generate_paradigm, pool_plan
-
     rng = random.Random(seed)
-    return tuple(generate_paradigm(rng, values, m, cells).text for values, m, cells in pool_plan())
+    return tuple(workloads().generate_paradigm(rng, values, m, cells).text
+                 for values, m, cells in workloads().pool_plan())
 
 
 def train_calls(pkg, args) -> dict:
@@ -143,7 +161,19 @@ def compose_calls(pkg, args) -> dict:
     return {"german_plurals": [functools.partial(call, s) for s in op_seeds(args)]}
 
 
-LEARNERS = {"rotate": rotate_calls, "train": train_calls, "compose": compose_calls}
+def fixture_calls(pkg, args) -> dict:
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    shapes = {command: [functools.partial(cli_call, cli, [command, name, "--format", "json"])
+                        for name in workloads().FLAT_FIXTURES]
+              for command in ("select", "train", "init")}
+    shapes["compose"] = [functools.partial(cli_call, cli, ["compose", "german_plurals", "--seed",
+                                                           str(s), "--format", "json"])
+                         for s in op_seeds(args)]
+    return shapes
+
+
+LEARNERS = {"rotate": rotate_calls, "train": train_calls, "compose": compose_calls,
+            "fixture": fixture_calls}
 
 
 def run_rounds(sides: list[dict], rounds: int) -> None:
@@ -177,7 +207,7 @@ def main(argv=None) -> int:
     p.add_argument("src_a")
     p.add_argument("src_b")
     p.add_argument("--rounds", type=int, default=6)
-    p.add_argument("--ops", type=int, default=100, help="op seeds per round (rotate, compose)")
+    p.add_argument("--ops", type=int, default=100, help="op seeds per round (rotate, compose, fixture)")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
