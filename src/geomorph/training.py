@@ -10,6 +10,7 @@ choice are visited.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -59,19 +60,67 @@ class TrainTrace:
     iterations: int = 0
 
 
-def delta_step(
-    expo: ExponentMatrix,
-    corners: CornerMatrix,
-    gold: SelectionTable,
-    cfg: TrainConfig,
-) -> tuple[ExponentMatrix, tuple[str, ...]]:
+@contextlib.contextmanager
+def _overflow_raises(eta: float):
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise UpdateOverflow(
+            f"eta {eta!r} overflows the delta-rule update; use a smaller eta"
+        ) from None
+
+
+def _working_state(expo, corners, gold, cfg):
+    """A writable copy `b` of the exponents, `stack = corners @ b` and `run`, one pass on both.
+
+    `run()` moves `b` in place, keeps `stack` equal to `corners @ b` and returns
+    the moved columns' names. The first pass builds what every pass reads, per
+    cell its row of `stack`, target row, eta-scaled corner column and gold index
+    (nothing at eta 0, which moves nothing).
+    """
+    c, error_driven, cells = corners.matrix, cfg.error_driven, []
+    b = np.array(expo.matrix)
+    stack = c @ b
+    (err, norms), (update, squares) = np.empty((2, b.shape[1])), np.empty((2, *b.shape))
+
+    def run() -> list[str]:
+        if cfg.eta and not cells:
+            cells.extend(zip(stack, gold.matrix, cfg.eta * c[:, :, None],
+                             gold.matrix.argmax(axis=1).tolist()))
+        moved = [False] * b.shape[1]
+        for acts, target, eta_col, g in cells:
+            a = acts.tolist()
+            if error_driven and gold_wins(a, g):
+                continue
+            np.add(b, np.multiply(eta_col, np.subtract(target, acts, out=err), out=update), out=b)
+            # np.linalg.norm(b, axis=0) on real input minus its call overhead;
+            # any other order of the sum (a gemm, a row sum) changes the last bit
+            np.add.reduce(np.multiply(b, b, out=squares), axis=0, out=norms)
+            np.sqrt(norms, out=norms)
+            if min(norms.tolist()) < 1e-12:
+                raise ZeroColumn("update drove an exponent column to zero")
+            np.divide(b, norms, out=b)
+            np.matmul(c, b, out=stack)
+            if not all(moved):
+                for j, x in enumerate(a):  # column j moves unless target - x == 0
+                    if x != (1.0 if j == g else 0.0):
+                        moved[j] = True
+        return [m for m, hit in zip(expo.morphemes, moved) if hit]
+
+    return b, stack, run
+
+
+def delta_step(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable,
+               cfg: TrainConfig) -> tuple[ExponentMatrix, tuple[str, ...]]:
     """One pass over all cells; returns the updated matrix and moved columns.
 
-    Corners must be 0/1 with a 1 in every row, as `build_corner_matrix` makes
-    them. Then `b += cols[i] * (eta * d)`, d = target - acts, adds the floats
-    of `eta * (corner[:, None] * d)` with one multiply per exponent: on a 1 row
-    `eta * (1 * d) == 1 * (eta * d)`, on a 0 row both add a zero with the sign
-    of d (eta > 0), and both overflow at the same inputs.
+    It is `train`'s pass, run once on a copy of `expo`. Corners must be 0/1
+    with a 1 in every row, as `build_corner_matrix` makes them. Then the
+    update `b += (eta * corner[:, None]) * d`, d = target - acts, adds the
+    floats of `eta * (corner[:, None] * d)` with one multiply per entry: on a
+    1 row `eta * 1 == eta`, on a 0 row both add a zero with the sign of d
+    (eta > 0), and both overflow at the same inputs.
 
     Raises ZeroColumn if an update annihilates a column (renormalization
     would be undefined), and UpdateOverflow if an update or its norm
@@ -79,56 +128,24 @@ def delta_step(
     reaches the norms' `min`, as the inputs are finite and an overflow raises first.
     """
     gold.require_one_hot()
-    b = np.array(expo.matrix)
-    if cfg.eta == 0.0:
-        return ExponentMatrix(expo.morphemes, b), ()
-    eta, cols, last = cfg.eta, corners.matrix[:, :, None], corners.num_cells - 1
-    (err, norms), (update, squares) = np.empty((2, b.shape[1])), np.empty((2, *b.shape))  # reused
-    moved = [False] * b.shape[1]
-    try:
-        with np.errstate(over="raise"):
-            stack = corners.matrix @ b  # the activations; recomputed after each update
-            for i, g in enumerate(gold.matrix.argmax(axis=1).tolist()):
-                acts = stack[i]
-                a = acts.tolist()
-                if cfg.error_driven and gold_wins(a, g):
-                    continue
-                np.multiply(np.subtract(gold.matrix[i], acts, out=err), eta, out=err)
-                b += np.multiply(cols[i], err, out=update)
-                # np.linalg.norm(b, axis=0) on real input minus its call overhead;
-                # any other order of the sum (a gemm, a row sum) changes the last bit
-                np.add.reduce(np.multiply(b, b, out=squares), axis=0, out=norms)
-                np.sqrt(norms, out=norms)
-                if min(norms.tolist()) < 1e-12:
-                    raise ZeroColumn("update drove an exponent column to zero")
-                b /= norms
-                if i < last:  # no row of the product after the last cell is read
-                    np.matmul(corners.matrix, b, out=stack)
-                if not all(moved):
-                    for j, x in enumerate(a):  # column j moves unless target - x == 0
-                        if x != (1.0 if j == g else 0.0):
-                            moved[j] = True
-    except FloatingPointError:
-        raise UpdateOverflow(
-            f"eta {cfg.eta!r} overflows the delta-rule update; use a smaller eta"
-        ) from None
-    names = tuple([m for m, hit in zip(expo.morphemes, moved) if hit])
-    return ExponentMatrix(expo.morphemes, b), names
+    b, _, run = _working_state(expo, corners, gold, cfg)
+    with _overflow_raises(cfg.eta):
+        moved = run()
+    return ExponentMatrix(expo.morphemes, b), tuple(moved)
 
 
-def train(
-    expo: ExponentMatrix,
-    corners: CornerMatrix,
-    gold: SelectionTable,
-    cfg: TrainConfig = TrainConfig(),
-) -> tuple[ExponentMatrix, TrainTrace]:
+def train(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable,
+          cfg: TrainConfig = TrainConfig()) -> tuple[ExponentMatrix, TrainTrace]:
     """Iterate delta passes until winners reproduce the gold table.
 
-    Before every pass one `decide` on the product decides what `evaluate`
-    would: a row mismatches when its winner is not the gold exponent, a tied
-    row included, and the least margin is the Python `min` of the row
-    margins, as in `EvaluationReport.min_margin`. Non-convergence inside
-    max_iters is a reported status, not an error.
+    The passes move one working copy of the exponents and keep its product
+    with the corners, on which one `decide` before every pass decides what
+    `evaluate` would: a row mismatches when its winner is not the gold
+    exponent, a tied row included, and the least margin is the Python `min`
+    of the row margins, as in `EvaluationReport.min_margin`. Every pass
+    renormalizes what it moves, so one `ExponentMatrix` is built, at the end
+    (`expo` is returned when no pass ran). Non-convergence inside max_iters
+    is a reported status, not an error.
     """
     if corners.matrix.shape[1] != expo.matrix.shape[0]:
         raise ShapeMismatch("corner width and exponent height differ")
@@ -136,24 +153,17 @@ def train(
         raise ShapeMismatch("activation and gold tables do not line up")
     gold.require_one_hot()
     gold_idx = gold.matrix.argmax(axis=1)
+    b, stack, run = _working_state(expo, corners, gold, cfg)
     trace = TrainTrace()
-    b = expo
-    for it in range(cfg.max_iters + 1):
-        winners, margins = decide(corners.matrix @ b.matrix)
-        mismatches = int(np.count_nonzero(winners != gold_idx))
-        if it > 0:
-            # record the state the previous pass produced
-            trace.records.append(
-                TraceRecord(it, mismatches, min(margins.tolist()), list(moved))
-            )
-        if not mismatches:
-            trace.converged = True
-            trace.iterations = it
-            return b, trace
-        if it == cfg.max_iters:
-            break
-        b, moved = delta_step(b, corners, gold, cfg)
-    trace.converged = False
-    trace.iterations = cfg.max_iters
-    return b, trace
-
+    # decide reads products of 0/1 corners with unit columns, which cannot overflow
+    with _overflow_raises(cfg.eta):
+        for it in range(cfg.max_iters + 1):
+            winners, margins = decide(stack)
+            mismatches = int(np.count_nonzero(winners != gold_idx))
+            if it > 0:  # record the state the previous pass produced
+                trace.records.append(TraceRecord(it, mismatches, min(margins.tolist()), moved))
+            if not mismatches or it == cfg.max_iters:
+                break
+            moved = run()
+    trace.converged, trace.iterations = not mismatches, it
+    return (ExponentMatrix(expo.morphemes, b) if it else expo), trace

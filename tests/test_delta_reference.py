@@ -4,21 +4,23 @@
 bookkeeping moved to Python scalars: a `gold_margins` test, `np.outer`,
 `np.linalg.norm`, an `.any()` zero-column test and a set of moved columns,
 all per cell. `delta_step` must reproduce it exactly: the same matrix
-bytes, the same moved columns and the same ZeroColumn, and `train` run on
-either pass must leave the same matrix and trace.
+bytes, the same moved columns and the same ZeroColumn, and `train` must
+leave the matrix and trace that `reference_train` leaves on the reference pass.
 
 `reference_train` is the training loop as it was written before it decided
-each pass with one `decide`: a full `evaluate(activations(...))` before
-every pass. `train` must reproduce it bit for bit, trace margins included.
+each pass with one `decide` and kept one working state: a full
+`evaluate(activations(...))` before every pass and a fresh matrix from each
+call of its step function. `train` must reproduce it bit for bit, trace
+margins included, with `delta_step` or with `reference_delta_step` as the step.
 """
+import functools
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomorph import fixtures, parse_text, training
+from geomorph import fixtures, parse_text
 from geomorph.errors import ZeroColumn
 from geomorph.exponence import (
     ExponentMatrix,
@@ -60,8 +62,9 @@ def reference_delta_step(expo, corners, gold, cfg):
     return ExponentMatrix(expo.morphemes, b), moved
 
 
-def reference_train(expo, corners, gold, cfg):
-    """`train` with a full evaluation of the activations before every pass."""
+def reference_train(expo, corners, gold, cfg, step=delta_step):
+    """`train` with a full evaluation of the activations before every pass,
+    each pass one call of `step`."""
     trace = TrainTrace()
     b = expo
     for it in range(cfg.max_iters + 1):
@@ -76,7 +79,7 @@ def reference_train(expo, corners, gold, cfg):
             return b, trace
         if it == cfg.max_iters:
             break
-        b, moved = delta_step(b, corners, gold, cfg)
+        b, moved = step(b, corners, gold, cfg)
     trace.iterations = cfg.max_iters
     return b, trace
 
@@ -101,9 +104,9 @@ def train_outcome(expo, corners, gold, cfg, learner=train):
 def assert_same_as_reference(expo, corners, gold, cfg):
     expected = step_outcome(reference_delta_step, expo, corners, gold, cfg)
     assert step_outcome(delta_step, expo, corners, gold, cfg) == expected
-    ours = train_outcome(expo, corners, gold, cfg)
-    with mock.patch.object(training, "delta_step", reference_delta_step):
-        assert ours == train_outcome(expo, corners, gold, cfg)
+    reference = functools.partial(reference_train, step=reference_delta_step)
+    assert train_outcome(expo, corners, gold, cfg) == train_outcome(
+        expo, corners, gold, cfg, learner=reference)
 
 
 @st.composite
@@ -185,12 +188,16 @@ def test_one_exponent_paradigm_matches_reference(error_driven):
         assert delta_step(expo, corners, gold, cfg)[1] == ()
 
 
-def test_zero_column_matches_reference():
+def zero_column_case():
     pf = parse_text("FEATURE number: sg pl\nMORPHEMES: a b\nCELL sg -> a\nCELL pl -> b\n")
     corners, gold = pf.corner_matrix(), pf.gold_table()
     # b sits on the sg corner, which pulls it away with eta = 1 / features
     expo = ExponentMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    cfg = TrainConfig(eta=1.0, error_driven=False)
+    return expo, corners, gold, TrainConfig(eta=1.0, error_driven=False)
+
+
+def test_zero_column_matches_reference():
+    expo, corners, gold, cfg = zero_column_case()
     with pytest.raises(ZeroColumn):
         reference_delta_step(expo, corners, gold, cfg)
     assert_same_as_reference(expo, corners, gold, cfg)
@@ -209,3 +216,16 @@ def test_negative_zeros_off_the_corner_match_reference():
     assert_same_as_reference(expo, corners, gold, cfg)
     stepped = delta_step(expo, corners, gold, cfg)[0].matrix
     assert np.copysign(1.0, stepped[1]).tolist() == [1.0, -1.0]
+
+
+def test_each_pass_records_only_the_columns_it_moved():
+    pf = parse_text("FEATURE f: x y z\nMORPHEMES: a b c\nCELL x -> a\nCELL y -> c\nCELL z -> c\n")
+    corners, gold = pf.corner_matrix(), pf.gold_table()
+    # a and b tie at x in every pass (b renormalizes back onto x), and c starts
+    # with no z coordinate: the first pass moves b at x and c at z, where c then
+    # wins, so the second moves only b
+    expo = ExponentMatrix(("a", "b", "c"), np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                                     [0.0, 0.0, 0.0]]))
+    cfg = TrainConfig(eta=0.1, max_iters=2)
+    assert_same_as_reference(expo, corners, gold, cfg)
+    assert [r.updated for r in train(expo, corners, gold, cfg)[1].records] == [["b", "c"], ["b"]]

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from test_delta_reference import delta_cases
+from test_delta_reference import delta_cases, zero_column_case
 
 from geomorph import (
     TrainConfig,
@@ -15,7 +17,7 @@ from geomorph import (
     parse_text,
     train,
 )
-from geomorph.errors import ShapeMismatch, ZeroColumn
+from geomorph.errors import ShapeMismatch, UpdateOverflow, ZeroColumn
 from geomorph.exponence import ExponentMatrix, SelectionTable
 
 # exponent vectors after the single corrective pass on the German paradigm
@@ -140,6 +142,53 @@ def test_config_validation():
             TrainConfig(eta=eta)
     with pytest.raises(ValueError):
         TrainConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("eta", [1e200, 1e308])
+def test_train_raises_update_overflow_as_delta_step_does(latin, eta):
+    corners, gold = latin.corner_matrix(), latin.gold_table()
+    expo = initial_exponents(corners, gold)
+    message = f"eta {eta!r} overflows the delta-rule update; use a smaller eta"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for learner in (delta_step, train):
+            with pytest.raises(UpdateOverflow, match=f"^{re.escape(message)}$"):
+                learner(expo, corners, gold, TrainConfig(eta=eta))
+
+
+def test_train_raises_zero_column():
+    with pytest.raises(ZeroColumn, match="update drove an exponent column to zero"):
+        train(*zero_column_case())
+
+
+@pytest.mark.parametrize("cfg", [TrainConfig(eta=0.1, max_iters=20),
+                                 TrainConfig(eta=2.5, error_driven=False, max_iters=5)])
+def test_two_trains_on_the_same_inputs_give_the_same_bytes_and_trace(latin, cfg):
+    corners, gold = latin.corner_matrix(), latin.gold_table()
+    expo = initial_exponents(corners, gold)
+    (a, trace_a), (b, trace_b) = (train(expo, corners, gold, cfg) for _ in range(2))
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert repr(trace_a) == repr(trace_b)  # repr tells -0.0 from 0.0
+
+
+def test_train_leaves_its_input_alone_and_returns_a_read_only_matrix(latin):
+    corners, gold = latin.corner_matrix(), latin.gold_table()
+    expo = initial_exponents(corners, gold)
+    before = expo.matrix.tobytes()
+    trained, trace = train(expo, corners, gold, TrainConfig(eta=0.1, max_iters=20))
+    assert trace.records and expo.matrix.tobytes() == before
+    assert not trained.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        trained.matrix[0, 0] = 0.0
+
+
+def test_zero_eta_records_one_empty_update_per_pass(latin):
+    corners, gold = latin.corner_matrix(), latin.gold_table()
+    expo = initial_exponents(corners, gold)
+    trained, trace = train(expo, corners, gold, TrainConfig(eta=0.0, max_iters=3))
+    assert [r.updated for r in trace.records] == [[], [], []]
+    assert not trace.converged and trace.iterations == 3
+    assert trained.matrix.tobytes() == expo.matrix.tobytes()
 
 
 def test_training_is_deterministic(latin):

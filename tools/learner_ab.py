@@ -18,11 +18,13 @@ load falls on both alike. The learner decides the calls:
   the whole `nuer_rotate` op, `geomorph.cli.main` on its argv at the op seeds,
   which also times parse, report and argparse; the sides must exit with the
   same code and write the same stdout, byte for byte.
-- train: `train` with the default settings, from count initialization as the
-  `train` command starts (not timed), on the 40 pool paradigms of perfbench's
-  `synthetic_train` workload at seed SEED, generated by this checkout's
-  `perfbench/workloads.py`. The sides must learn the same matrices and trace
-  records.
+- train: `train` from count initialization as the `train` command starts (not
+  timed), on the 40 pool paradigms of perfbench's `synthetic_train` workload at
+  seed SEED, generated by this checkout's `perfbench/workloads.py`, in three
+  shapes: `pool` with the default settings, as the workload runs it, then two
+  that no workload runs, `every_cell` (`error_driven=False, max_iters=5`, as
+  `train --no-error-driven --max-iters 5`) and `eta_2.5` (`eta=2.5`). The
+  sides must learn the same matrices and trace records.
 - compose: `learn_angles` on the bundled German plurals as `compose
   german_plurals --seed s` runs it, at the op seeds SEED * 100000 + k for k <
   OPS. The sides must learn the same angles (bit for bit), iterations,
@@ -135,16 +137,19 @@ def pool_texts(seed: int) -> tuple[str, ...]:
 def train_calls(pkg, args) -> dict:
     training = importlib.import_module(f"{pkg.__name__}.training")
 
-    def call(expo, corners, gold):
-        trained, trace = training.train(expo, corners, gold, training.TrainConfig())
+    def call(cfg, expo, corners, gold):
+        trained, trace = training.train(expo, corners, gold, cfg)
         return trained.matrix.tobytes(), trace.records, trace.converged, trace.iterations
 
-    calls = []
+    cases = []
     for text in pool_texts(args.seed):
         pf = pkg.parse_text(text)
         corners, gold = pf.corner_matrix(), pf.gold_table()
-        calls.append(functools.partial(call, pkg.initial_exponents(corners, gold), corners, gold))
-    return {"pool": calls}
+        cases.append((pkg.initial_exponents(corners, gold), corners, gold))
+    shapes = {"pool": {}, "every_cell": {"error_driven": False, "max_iters": 5},
+              "eta_2.5": {"eta": 2.5}}
+    return {name: [functools.partial(call, training.TrainConfig(**shape), *case) for case in cases]
+            for name, shape in shapes.items()}
 
 
 def compose_calls(pkg, args) -> dict:
