@@ -265,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geometric inflectional morphology: selection, training, composition, rotation",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # each command's own parser, by name, for main
 
     def common(sp):
         sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
@@ -324,7 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line, parsed once by its command's parser. An argv naming no command,
+    or with arguments its command does not take, goes to the top parser, which reports it."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = build_parser().commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args) if args.func is cmd_report else run_command(args)
     except (GeomorphError, OSError, ValueError) as exc:

@@ -124,26 +124,38 @@ class CountArray:
 
 def count_features(corners: CornerMatrix, gold: SelectionTable) -> CountArray:
     """Co-occurrence counts of feature values with gold exponents: cornersᵀ · gold."""
+    return CountArray(gold.morphemes, _counts(corners, gold))
+
+
+def _counts(corners: CornerMatrix, gold: SelectionTable) -> np.ndarray:
     if gold.matrix.shape[0] != corners.num_cells:
         raise ShapeMismatch("gold table and corner matrix disagree on cell count")
     gold.require_one_hot()
-    return CountArray(gold.morphemes, corners.matrix.T @ gold.matrix)
+    return corners.matrix.T @ gold.matrix
+
+
+def _unit_columns(morphemes: tuple[str, ...], counts: np.ndarray) -> ExponentMatrix:
+    """Counts (integers >= 0, below 2**53) over their column norms, validated once: such a
+    column over its own nonzero norm is unit within UNIT_TOL, so it is not measured again."""
+    norms = np.sqrt(np.add.reduce(counts * counts, axis=0))  # np.linalg.norm's bits
+    if not norms.all():
+        dead = [morphemes[j] for j in np.flatnonzero(norms == 0)]
+        raise ZeroColumn(f"morpheme(s) never attested: {dead}")
+    expo = object.__new__(ExponentMatrix)
+    expo.__dict__.update(morphemes=morphemes, matrix=_frozen(counts / norms))
+    return expo
 
 
 def normalize_columns(counts: CountArray) -> ExponentMatrix:
-    """Scale every count column to unit L2 length."""
-    norms = np.linalg.norm(counts.matrix, axis=0)
-    dead = np.flatnonzero(norms == 0)
-    if len(dead):
-        raise ZeroColumn(
-            f"morpheme(s) never attested: {[counts.morphemes[j] for j in dead]}"
-        )
-    return ExponentMatrix(counts.morphemes, counts.matrix / norms)
+    """Scale every count column to unit L2 length. Counts of any size are measured again,
+    as a norm of huge or tiny values can overflow or lose its precision."""
+    return ExponentMatrix(counts.morphemes, _unit_columns(counts.morphemes, counts.matrix).matrix)
 
 
 def initial_exponents(corners: CornerMatrix, gold: SelectionTable) -> ExponentMatrix:
-    """Count-based initial placement: count co-occurrences, then normalize."""
-    return normalize_columns(count_features(corners, gold))
+    """Count-based initial placement: count co-occurrences, then normalize. 0/1 corners
+    times one-hot gold are finite, non-negative integers, so the counts are not re-checked."""
+    return _unit_columns(gold.morphemes, _counts(corners, gold))
 
 
 def activations(corners: CornerMatrix, expo: ExponentMatrix) -> ActivationMatrix:

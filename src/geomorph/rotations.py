@@ -21,10 +21,10 @@ from .exponence import (
     SelectionTable,
     _convergence_test,
     _margin_positions,
+    _unit_columns,
     _worst_margins,
     activations,
     decide,
-    normalize_columns,
 )
 from .features import CornerMatrix, _frozen
 
@@ -126,7 +126,7 @@ def weighted_counts(inv: ClassInventory, min_lexemes: int = 3):
 def base_configuration(inv: ClassInventory, min_lexemes: int = 3) -> ExponentMatrix:
     """Normalized weighted counts: the shared configuration all classes rotate."""
     counts, _ = weighted_counts(inv, min_lexemes)
-    return normalize_columns(counts)
+    return _unit_columns(counts.morphemes, counts.matrix)
 
 
 def class_of_base(expo: ExponentMatrix, inv: ClassInventory) -> str | None:

@@ -10,7 +10,6 @@ choice are visited.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -60,28 +59,18 @@ class TrainTrace:
     iterations: int = 0
 
 
-@contextlib.contextmanager
-def _overflow_raises(eta: float):
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise UpdateOverflow(
-            f"eta {eta!r} overflows the delta-rule update; use a smaller eta"
-        ) from None
+def _working_state(expo, corners, gold, cfg, stack):
+    """A writable copy `b` of the exponents and `run`, one pass on `b` and on `stack`.
 
-
-def _working_state(expo, corners, gold, cfg):
-    """A writable copy `b` of the exponents, `stack = corners @ b` and `run`, one pass on both.
-
-    `run()` moves `b` in place, keeps `stack` equal to `corners @ b` and returns
-    the moved columns' names. The first pass builds what every pass reads, per
-    cell its row of `stack`, target row, eta-scaled corner column and gold index
-    (nothing at eta 0, which moves nothing).
+    `stack` must be a writable `corners @ expo.matrix`. `run()` moves `b` in
+    place, keeps `stack` equal to `corners @ b` and returns the moved columns'
+    names. The first pass builds what every pass reads, per cell its row of
+    `stack`, target row, eta-scaled corner column and gold index (nothing at
+    eta 0, which moves nothing). Only the updates run under
+    `np.errstate(over="raise")`, as only they can overflow.
     """
     c, error_driven, cells = corners.matrix, cfg.error_driven, []
     b = np.array(expo.matrix)
-    stack = c @ b
     (err, norms), (update, squares) = np.empty((2, b.shape[1])), np.empty((2, *b.shape))
 
     def run() -> list[str]:
@@ -89,26 +78,33 @@ def _working_state(expo, corners, gold, cfg):
             cells.extend(zip(stack, gold.matrix, cfg.eta * c[:, :, None],
                              gold.matrix.argmax(axis=1).tolist()))
         moved = [False] * b.shape[1]
-        for acts, target, eta_col, g in cells:
-            a = acts.tolist()
-            if error_driven and gold_wins(a, g):
-                continue
-            np.add(b, np.multiply(eta_col, np.subtract(target, acts, out=err), out=update), out=b)
-            # np.linalg.norm(b, axis=0) on real input minus its call overhead;
-            # any other order of the sum (a gemm, a row sum) changes the last bit
-            np.add.reduce(np.multiply(b, b, out=squares), axis=0, out=norms)
-            np.sqrt(norms, out=norms)
-            if min(norms.tolist()) < 1e-12:
-                raise ZeroColumn("update drove an exponent column to zero")
-            np.divide(b, norms, out=b)
-            np.matmul(c, b, out=stack)
-            if not all(moved):
-                for j, x in enumerate(a):  # column j moves unless target - x == 0
-                    if x != (1.0 if j == g else 0.0):
-                        moved[j] = True
+        try:
+            with np.errstate(over="raise"):
+                for acts, target, eta_col, g in cells:
+                    a = acts.tolist()
+                    if error_driven and gold_wins(a, g):
+                        continue
+                    np.subtract(target, acts, out=err)
+                    np.add(b, np.multiply(eta_col, err, out=update), out=b)
+                    # np.linalg.norm(b, axis=0) on real input minus its call overhead;
+                    # any other order of the sum (a gemm, a row sum) changes the last bit
+                    np.add.reduce(np.multiply(b, b, out=squares), axis=0, out=norms)
+                    np.sqrt(norms, out=norms)
+                    if min(norms.tolist()) < 1e-12:
+                        raise ZeroColumn("update drove an exponent column to zero")
+                    np.divide(b, norms, out=b)
+                    np.matmul(c, b, out=stack)
+                    if not all(moved):
+                        for j, x in enumerate(a):  # column j moves unless target - x == 0
+                            if x != (1.0 if j == g else 0.0):
+                                moved[j] = True
+        except FloatingPointError:
+            raise UpdateOverflow(
+                f"eta {cfg.eta!r} overflows the delta-rule update; use a smaller eta"
+            ) from None
         return [m for m, hit in zip(expo.morphemes, moved) if hit]
 
-    return b, stack, run
+    return b, run
 
 
 def delta_step(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable,
@@ -128,9 +124,8 @@ def delta_step(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable
     reaches the norms' `min`, as the inputs are finite and an overflow raises first.
     """
     gold.require_one_hot()
-    b, _, run = _working_state(expo, corners, gold, cfg)
-    with _overflow_raises(cfg.eta):
-        moved = run()
+    b, run = _working_state(expo, corners, gold, cfg, corners.matrix @ expo.matrix)
+    moved = run()
     return ExponentMatrix(expo.morphemes, b), tuple(moved)
 
 
@@ -153,17 +148,16 @@ def train(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable,
         raise ShapeMismatch("activation and gold tables do not line up")
     gold.require_one_hot()
     gold_idx = gold.matrix.argmax(axis=1)
-    b, stack, run = _working_state(expo, corners, gold, cfg)
-    trace = TrainTrace()
-    # decide reads products of 0/1 corners with unit columns, which cannot overflow
-    with _overflow_raises(cfg.eta):
-        for it in range(cfg.max_iters + 1):
-            winners, margins = decide(stack)
-            mismatches = int(np.count_nonzero(winners != gold_idx))
-            if it > 0:  # record the state the previous pass produced
-                trace.records.append(TraceRecord(it, mismatches, min(margins.tolist()), moved))
-            if not mismatches or it == cfg.max_iters:
-                break
-            moved = run()
+    stack, run, trace = corners.matrix @ expo.matrix, None, TrainTrace()
+    for it in range(cfg.max_iters + 1):
+        winners, margins = decide(stack)
+        mismatches = int(np.count_nonzero(winners != gold_idx))
+        if it > 0:  # record the state the previous pass produced
+            trace.records.append(TraceRecord(it, mismatches, min(margins.tolist()), moved))
+        if not mismatches or it == cfg.max_iters:
+            break
+        if run is None:  # built for the first pass: most fixture trains converge without one
+            b, run = _working_state(expo, corners, gold, cfg, stack)
+        moved = run()
     trace.converged, trace.iterations = not mismatches, it
     return (ExponentMatrix(expo.morphemes, b) if it else expo), trace

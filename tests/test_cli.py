@@ -18,6 +18,7 @@ from geomorph.composition import AngleModel, seeded_random
 from geomorph.paradigm import ParadigmFile
 from test_report import built_in, loaded
 from test_rotation_lanes import MULTI_FEATURE
+from test_sweep import _cli_sweep
 
 # exit codes under test: 0 ok, 1 input error, 2 not converged, 3 tie in gold eval
 
@@ -610,13 +611,13 @@ def test_each_call_parses_into_a_fresh_namespace(capsys, monkeypatch):
     assert (third.seed, third.plans, third.format) == (None, False, "tsv")
 
 
-@pytest.mark.parametrize("argv", [
-    ["select", "latin_adjectives"],
-    ["train", "latin_adjectives"],
-    ["init", "latin_adjectives"],
-    ["init", "nuer_classes"],
+@pytest.mark.parametrize("argv,inits", [
+    (["select", "latin_adjectives"], 1),
+    (["train", "latin_adjectives"], 1),
+    (["init", "latin_adjectives"], 1),
+    (["init", "nuer_classes"], 0),
 ])
-def test_an_op_parses_once_and_builds_one_corner_matrix(argv, capsys, monkeypatch):
+def test_an_op_parses_once_and_builds_one_corner_matrix(argv, inits, capsys, monkeypatch):
     # the benchmark's per-layer spans hook these same names
     calls = Counter()
 
@@ -632,8 +633,47 @@ def test_an_op_parses_once_and_builds_one_corner_matrix(argv, capsys, monkeypatc
     counting(cli, "load_paradigm")
     counting(ParadigmFile, "corner_matrix")
     counting(paradigm, "build_corner_matrix")
+    counting(cli, "initial_exponents")
     run(capsys, *argv)
-    assert calls == {"load_paradigm": 1, "corner_matrix": 1, "build_corner_matrix": 1}
+    assert calls == Counter(load_paradigm=1, corner_matrix=1, build_corner_matrix=1,
+                            initial_exponents=inits)
+
+
+def _parsed_argvs():
+    """Every argv of `tools/cli_sweep.py`, with its `--trace` where the sweep adds one, and
+    forms it lacks: `--opt=value`, options before the positional, abbreviations, `--`."""
+    sweep = _cli_sweep()
+    groups = (sweep.ops(), sweep.TIE_OPS, sweep.LONG_RUN_OPS, sweep.LANE_TAIL_OPS)
+    argvs = [argv + ["--trace", "t.jsonl"] if traced else argv
+             for group in groups for argv, traced in group]
+    return argvs + [
+        ["report", "saved.json"],
+        ["report", "--out=saved.tsv", "saved.json"],
+        ["select", "--format=json", "english_weak_verb"],
+        ["select", "english_weak_verb", "--format", "json", "--format", "tsv"],
+        ["select", "--", "english_weak_verb"],
+        ["train", "--eta=0.5", "--max-iters=3", "--no-error-driven", "german_full"],
+        ["train", "german_full", "--no-error-driven", "--error-driven", "--max-it", "4"],
+        ["init", "--min-lexemes=2", "--out", "init.tsv", "nuer_classes"],
+        ["compose", "--seed=-3", "german_plurals", "--margin", "-0.5", "--stepsize=1e-3"],
+        ["rotate", "--runs", "2", "--seed", "4", "--plans", "nuer_classes", "--trace=t",
+         "--margin-f", "0.1", "--inc=0.2"],
+    ]
+
+
+def test_main_hands_on_the_namespace_the_top_parser_gives(monkeypatch):
+    # main parses with the command's own parser; the namespace, with its key order (a
+    # report's config follows it), must be what the top parser's two passes give; repr
+    # compares the nan of `--stepsize nan` too
+    seen = []
+    monkeypatch.setattr(cli, "run_command", seen.append)
+    # with the name rebound, main hands a report's namespace to run_command as well
+    monkeypatch.setattr(cli, "cmd_report", seen.append)
+    for argv in _parsed_argvs():
+        seen.clear()
+        main(argv)
+        want = cli.build_parser().parse_args(argv)
+        assert [repr(vars(args)) for args in seen] == [repr(vars(want))], argv
 
 
 @pytest.mark.parametrize("argv,selections", [

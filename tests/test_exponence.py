@@ -2,19 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_rotation_lanes import _class_text, generated_classes
 
 from geomorph import (
     CountArray,
     ExponentMatrix,
     activations,
+    all_cells,
+    base_configuration,
+    build_corner_matrix,
+    build_feature_system,
     count_features,
     evaluate,
+    fixtures,
     initial_exponents,
     normalize_columns,
+    parse_text,
     select_winners,
     selection_from_winners,
+    weighted_counts,
 )
-from geomorph.errors import ShapeMismatch, ZeroColumn
+from geomorph.errors import EmptyFilter, ShapeMismatch, ZeroColumn
 from geomorph.exponence import SelectionTable
 
 # attestation counts for the English weak verb, by feature value
@@ -270,3 +280,97 @@ def test_require_one_hot_rejects_a_tie_row(english):
     table = SelectionTable(gold.row_labels, gold.morphemes, matrix)
     with pytest.raises(ShapeMismatch, match="^every row must select exactly one exponent$"):
         table.require_one_hot()
+
+
+def reference_normalize_columns(counts: CountArray) -> ExponentMatrix:
+    """`normalize_columns` as it was before count initialization validated once."""
+    norms = np.linalg.norm(counts.matrix, axis=0)
+    dead = np.flatnonzero(norms == 0)
+    if len(dead):
+        raise ZeroColumn(f"morpheme(s) never attested: {[counts.morphemes[j] for j in dead]}")
+    return ExponentMatrix(counts.morphemes, counts.matrix / norms)
+
+
+def outcome(build):
+    """What `build()` gives: its exponents' names, bytes and writability, or its error."""
+    try:
+        expo = build()
+    except (ShapeMismatch, ZeroColumn) as exc:
+        return type(exc), str(exc)
+    return expo.morphemes, expo.matrix.dtype, expo.matrix.tobytes(), expo.matrix.flags.writeable
+
+
+def assert_counts_initialize_as_before(corners, gold):
+    want = outcome(lambda: reference_normalize_columns(count_features(corners, gold)))
+    assert outcome(lambda: initial_exponents(corners, gold)) == want
+    assert outcome(lambda: normalize_columns(count_features(corners, gold))) == want
+
+
+def assert_base_configuration_as_before(inv, min_lexemes):
+    want = outcome(lambda: reference_normalize_columns(weighted_counts(inv, min_lexemes)[0]))
+    assert outcome(lambda: base_configuration(inv, min_lexemes)) == want
+
+
+TABLE_FIXTURES = [name for name in fixtures.FIXTURES
+                  if fixtures.load(name).kind() in ("single", "classes")]
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_count_initialization_keeps_its_bits_on_every_bundled_table(name):
+    pf = fixtures.load(name)
+    if pf.kind() == "single":
+        assert_counts_initialize_as_before(pf.corner_matrix(), pf.gold_table())
+        return
+    inv = pf.class_inventory()
+    for table in inv.classes.values():  # some classes never attest an exponent
+        assert_counts_initialize_as_before(inv.corners, table)
+    for min_lexemes in (1, 3, 50):
+        assert_base_configuration_as_before(inv, min_lexemes)
+
+
+def test_every_bundled_table_is_checked():
+    assert len(TABLE_FIXTURES) == 7
+
+
+@st.composite
+def flat_tables(draw):
+    """Corners of some cells of a drawn feature system and a gold table over 1-6
+    exponents, each cell's drawn freely, so some exponents may be never attested."""
+    shape = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    fs = build_feature_system([(f"f{k}", [f"f{k}v{v}" for v in range(n)])
+                               for k, n in enumerate(shape)])
+    cells = draw(st.lists(st.sampled_from(all_cells(fs)), min_size=1, max_size=64, unique=True))
+    morphemes = tuple(f"m{j}" for j in range(draw(st.integers(1, 6))))
+    winners = draw(st.lists(st.sampled_from(morphemes), min_size=len(cells),
+                            max_size=len(cells)))
+    return build_corner_matrix(fs, cells), selection_from_winners(cells, morphemes, winners)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_tables())
+def test_count_initialization_keeps_its_bits_on_drawn_tables(table):
+    assert_counts_initialize_as_before(*table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_classes(), st.integers(1, 20))
+def test_base_configuration_keeps_its_bits_on_drawn_classes(classes, min_lexemes):
+    inv = parse_text(_class_text(*classes)).class_inventory()
+    try:
+        weighted_counts(inv, min_lexemes)
+    except EmptyFilter:
+        return
+    assert_base_configuration_as_before(inv, min_lexemes)
+
+
+def test_count_initialization_keeps_its_messages(english):
+    corners, gold = english.corner_matrix(), english.gold_table()
+    unseen = selection_from_winners(gold.row_labels, gold.morphemes + ("en",), gold.winners())
+    with pytest.raises(ZeroColumn, match=r"^morpheme\(s\) never attested: \['en'\]$"):
+        initial_exponents(corners, unseen)
+    short = SelectionTable(gold.row_labels[:-1], gold.morphemes, gold.matrix[:-1])
+    with pytest.raises(ShapeMismatch, match="^gold table and corner matrix disagree on cell count$"):
+        initial_exponents(corners, short)
+    expo = initial_exponents(corners, gold)
+    with pytest.raises(ValueError, match="read-only"):
+        expo.matrix[0, 0] = 0.5

@@ -29,9 +29,12 @@ load falls on both alike. The learner decides the calls:
   german_plurals --seed s` runs it, at the op seeds SEED * 100000 + k for k <
   OPS. The sides must learn the same angles (bit for bit), iterations,
   convergence and adjustment counts.
-- fixture: the flat-fixture ops of perfbench's `fixture_cli` workload, whole:
+- fixture: every op kind of perfbench's `fixture_cli` workload, whole:
   `geomorph.cli.main` on `select`, `train` and `init` (`--format json`) of each
-  of its six flat fixtures, one shape per command, then `compose german_plurals
+  of its six flat fixtures, one shape per command; `init nuer_classes`
+  (`init_classes`), `compose spanish_verbs` (`compose_spanish`) and `report` of
+  a `train latin_adjectives --format json` report each side saved (not timed)
+  beside its package copy, one shape each; then `compose german_plurals
   --format json` at the op seeds. They also time parse, report and argparse, so
   a slowdown of `fixture_cli` shows here in seconds. The sides must exit with
   the same code and write the same stdout, byte for byte.
@@ -72,8 +75,10 @@ SEED_STRIDE = 100_000  # as perfbench's op seeds
 # Shapes whose every call is made this many times a round, its least time counting:
 # one --runs 100 call takes about a second, and its one-call ratio swung from 0.83
 # to 1.14 between the rounds of a single comparison; a round of a flat fixture
-# shape sums six calls of about a millisecond, and its ratio swung by 7 %
-BEST_OF = {"runs_100": 5, "select": 10, "train": 10, "init": 10}
+# shape sums six calls of about a millisecond, and its ratio swung by 7 %; the
+# fixture shapes of a single call take the least of more calls
+BEST_OF = {"runs_100": 5, "select": 10, "train": 10, "init": 10,
+           "init_classes": 30, "compose_spanish": 30, "report": 30}
 
 
 def load_package(src: str, name: str, into: Path):
@@ -168,9 +173,16 @@ def compose_calls(pkg, args) -> dict:
 
 def fixture_calls(pkg, args) -> dict:
     cli = importlib.import_module(f"{pkg.__name__}.cli")
+    saved = Path(pkg.__path__[0]).with_suffix(".json")  # beside the package's copy
+    if cli.main(["train", "latin_adjectives", "--format", "json", "--out", str(saved)]):
+        raise SystemExit(f"{pkg.__name__}: saving the report for the report shape failed")
     shapes = {command: [functools.partial(cli_call, cli, [command, name, "--format", "json"])
                         for name in workloads().FLAT_FIXTURES]
               for command in ("select", "train", "init")}
+    for name, argv in {"init_classes": ["init", "nuer_classes", "--format", "json"],
+                       "compose_spanish": ["compose", "spanish_verbs", "--format", "json"],
+                       "report": ["report", str(saved)]}.items():
+        shapes[name] = [functools.partial(cli_call, cli, argv)]
     shapes["compose"] = [functools.partial(cli_call, cli, ["compose", "german_plurals", "--seed",
                                                            str(s), "--format", "json"])
                          for s in op_seeds(args)]
