@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem
+from .errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem, UpdateOverflow
 from .exponence import UNIT_TOL, decide_row
 
 HALF_PI = math.pi / 2
@@ -101,6 +101,14 @@ def inventory_from_angles(model: AngleModel, stems, affixes, gold_forms) -> Comp
                                 {a: model.vector(a) for a in affixes}, dict(gold_forms))
 
 
+def _checked_target(inv: CompositionInventory, target) -> np.ndarray:
+    """`target` as floats; ShapeMismatch unless it is a finite vector of the affixes' dimension."""
+    target, dim = np.asarray(target, dtype=float), len(next(iter(inv.affixes.values())))
+    if target.shape != (dim,) or not np.isfinite(target).all():
+        raise ShapeMismatch(f"target must be a finite vector of dimension {dim}")
+    return target
+
+
 def select_pair(inv: CompositionInventory, target: np.ndarray):
     """Stem+affix pair whose vector sum is nearest the target point.
 
@@ -109,7 +117,7 @@ def select_pair(inv: CompositionInventory, target: np.ndarray):
     """
     if not inv.stems or not inv.affixes:
         raise EmptyInventory("need at least one stem and one affix")
-    target = np.asarray(target, dtype=float)
+    target = _checked_target(inv, target)
     pairs = [(s, a) for s in inv.stems for a in inv.affixes]
     dists = [float(np.linalg.norm(inv.stems[s] + inv.affixes[a] - target)) for s, a in pairs]
     k = decide_row([-d for d in dists])
@@ -126,7 +134,7 @@ def select_affix_for_stem(inv: CompositionInventory, stem: str, target: np.ndarr
         raise UnknownStem(stem)
     if not inv.affixes:
         raise EmptyInventory("no affixes")
-    sv, target = inv.stems[stem], np.asarray(target, dtype=float)
+    sv, target = inv.stems[stem], _checked_target(inv, target)
     affixes = list(inv.affixes)
     k = decide_row([-float(np.linalg.norm(sv + inv.affixes[a] - target)) for a in affixes])
     return affixes[k] if k >= 0 else None
@@ -194,7 +202,8 @@ def learn_angles(
     pass with no adjustment; any other run makes all `max_iters` passes, even
     passes that repeat, and `iterations` counts the passes that adjusted. No
     per-pass state is kept, so memory does not depend on `max_iters`. A
-    label's sine and cosine are recomputed only when it moves.
+    label's sine and cosine are recomputed only when it moves. A stepsize so
+    large that an angle overflows to inf raises UpdateOverflow.
     """
     stems, affixes, gold = list(stems), list(affixes), dict(gold_forms)
     missing = [(stem, value) for stem in stems for value in plane if (stem, value) not in gold]
@@ -215,30 +224,36 @@ def learn_angles(
 
     step, margin, pi, tau = cfg.stepsize, cfg.margin, math.pi, 2 * math.pi
     total_adjustments = iterations = 0
-    while iterations < cfg.max_iters:  # reaching max_iters is not converging
-        adjustments = 0
-        for s, g, axis, rivals in targets:
-            # the offset of sum_distance, inlined: axis - atan2(...) is in (-2pi, 2pi), where fmod is exact
-            dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
-            dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
-            for r in rivals:
-                dr = axis - atan2(sn[s] + sn[r], cs[s] + cs[r])
-                dr = dr - tau if dr > pi else (dr + tau if dr <= -pi else dr)
-                ar, ag = abs(dr), abs(dg)
-                if ar < ag + margin or ar == ag:  # a tie is not a win
-                    adjustments += 1
-                    th[s] += step * _sign(dg)
-                    th[g] += step * _sign(dg)
-                    if ar < HALF_PI:
-                        th[r] -= step * _sign(dr)
-                        sn[r], cs[r] = sin(th[r]), cos(th[r])
-                    sn[s], cs[s], sn[g], cs[g] = sin(th[s]), cos(th[s]), sin(th[g]), cos(th[g])
-                    dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
-                    dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
-        if not adjustments:
-            break
-        iterations += 1
-        total_adjustments += adjustments
+    try:
+        while iterations < cfg.max_iters:  # reaching max_iters is not converging
+            adjustments = 0
+            for s, g, axis, rivals in targets:
+                # the offset of sum_distance, inlined: axis - atan2(...) is in (-2pi, 2pi),
+                # where fmod is exact
+                dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
+                dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
+                for r in rivals:
+                    dr = axis - atan2(sn[s] + sn[r], cs[s] + cs[r])
+                    dr = dr - tau if dr > pi else (dr + tau if dr <= -pi else dr)
+                    ar, ag = abs(dr), abs(dg)
+                    if ar < ag + margin or ar == ag:  # a tie is not a win
+                        adjustments += 1
+                        th[s] += step * _sign(dg)
+                        th[g] += step * _sign(dg)
+                        if ar < HALF_PI:
+                            th[r] -= step * _sign(dr)
+                            sn[r], cs[r] = sin(th[r]), cos(th[r])
+                        sn[s], cs[s], sn[g], cs[g] = sin(th[s]), cos(th[s]), sin(th[g]), cos(th[g])
+                        dg = axis - atan2(sn[s] + sn[g], cs[s] + cs[g])
+                        dg = dg - tau if dg > pi else (dg + tau if dg <= -pi else dg)
+            if not adjustments:
+                break
+            iterations += 1
+            total_adjustments += adjustments
+    except ValueError:  # math.sin or math.cos of an angle that overflowed to inf
+        raise UpdateOverflow(
+            f"stepsize {cfg.stepsize!r} overflows the angle update; use a smaller stepsize"
+        ) from None
     model = AngleModel(plane, {k: wrap_angle(v) for k, v in zip(ang, th)})
     return AngleLearnResult(model, iterations, iterations < cfg.max_iters, total_adjustments)
 

@@ -208,24 +208,24 @@ def _convergence_test(floor: float):
     return (lambda worst: worst >= floor) if floor > 0 else (lambda worst: worst > 0)
 
 
-def gold_wins(acts: list[float], gold: int) -> bool:
-    """Whether exponent `gold` wins one row of activations given as a list.
+def gold_margin(row: list[float], j: int) -> float:
+    """`gold_margins` on one row held as a list: `row[j]` minus its largest other entry.
 
-    The scalar form of `gold_margins(row, mask) > 0` for a single row without
-    NaN: gold is the strict maximum. A difference of distinct floats never
-    rounds to 0, so this is the margin test; 0.0 and -0.0 tie, as do two infs.
+    The margin is inf without rivals and > 0 exactly when `j` wins the row.
+    `row` is masked at j while its maximum is taken, then restored. NaN rows
+    are out of scope, as no layer makes them: Python's `max` skips a NaN
+    that numpy's propagates.
     """
-    top = max(acts)
-    return acts[gold] == top and acts.count(top) == 1
+    g, row[j] = row[j], -np.inf
+    top = max(row)
+    row[j] = g
+    return g - top
 
 
 def decide_row(scores: list[float]) -> int:
-    """`decide` on one row held as a list: the index of its strict maximum, or -1 if shared.
-
-    Exact float equality, as in `gold_wins`: 0.0 and -0.0 tie, as do two infs.
-    """
-    top = max(scores)
-    return scores.index(top) if scores.count(top) == 1 else -1
+    """`decide` on one row held as a list: the first maximum's index if it wins, else -1."""
+    j = scores.index(max(scores))
+    return j if gold_margin(scores, j) > 0 else -1
 
 
 def decide(acts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from .exponence import (
     _worst_margins,
     activations,
     decide,
+    gold_margin,
 )
 from .features import CornerMatrix, _frozen
 
@@ -368,20 +369,17 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
     the rows rotate as `c * x + (-s) * y` and `c * y + s * x`; and the
     activations are the rows of one 2-D product `phi @ b` per sub-iteration,
     which rounds as the stacked product does and as `activations` computes
-    them. The test is one comparison on the least, over cells, of the goal
-    minus its largest rival, so a step stops at the first cell that fails
-    it, trying first the cell that failed the step before. The worst margin
-    (`exponence._worst_margins` on the lane) is computed once, for the record.
+    them. The test is one comparison on the least, over cells, of the goal's
+    `gold_margin`, so a step stops at the first cell that fails it, trying
+    first the cell that failed the step before. The worst margin, the least
+    `gold_margin` (`exponence._worst_margins` on the lane), is computed once,
+    for the record.
 
     Returns the lane's record and its steps, as `_learn_lanes` logs them.
     """
     cells, converged = len(coords), _convergence_test(cfg.margin_floor)
     steps = []
     picks = _pick(key, np.arange(done, cfg.max_iters * cells, dtype=np.uint64), len(coords[0]))
-
-    def margin(row, j):  # the goal's lead over its largest rival in one row of activations
-        return row[j] - max(row[:j] + row[j + 1 :], default=-math.inf)
-
     stuck = 0  # the cell that failed the last check: it most often fails the next one too
     for done, pick in enumerate(picks.tolist(), done):
         i = done % cells
@@ -404,14 +402,11 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
         steps += away, toward, theta
         acts = (phi @ np.array(b)).tolist()
         for stuck in (stuck, *range(cells)):  # the test is one comparison on the least margin
-            row, j = acts[stuck], goal[stuck]
-            g, row[j] = row[j], -math.inf
-            lead, row[j] = g - max(row), g
-            if not converged(lead):
+            if not converged(gold_margin(acts[stuck], goal[stuck])):
                 break
         else:
             break
-    worst = min(map(margin, acts, goal))
+    worst = min(map(gold_margin, acts, goal))
     return RunRecord(converged(worst), -(-(done + 1) // cells), worst, done + 1), steps
 
 

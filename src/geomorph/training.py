@@ -25,7 +25,7 @@ from .exponence import (  # noqa: F401
     activations,
     decide,
     evaluate,
-    gold_wins,
+    gold_margin,
 )
 from .features import CornerMatrix
 
@@ -82,7 +82,7 @@ def _working_state(expo, corners, gold, cfg, stack):
             with np.errstate(over="raise"):
                 for acts, target, eta_col, g in cells:
                     a = acts.tolist()
-                    if error_driven and gold_wins(a, g):
+                    if error_driven and gold_margin(a, g) > 0:
                         continue
                     np.subtract(target, acts, out=err)
                     np.add(b, np.multiply(eta_col, err, out=update), out=b)

@@ -361,6 +361,15 @@ def test_train_reports_an_overflowing_eta(capsys, value):
     )
 
 
+@pytest.mark.parametrize("argv", [["--stepsize", "1e308", "--max-iters", "3"],
+                                  ["--stepsize", "1e307"]])
+def test_compose_reports_an_overflowing_stepsize(capsys, argv):
+    code, out, err = run(capsys, "compose", "german_plurals", *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: stepsize {float(argv[1])!r} overflows the angle update; "
+                   "use a smaller stepsize\n")
+
+
 @pytest.mark.parametrize("option,name", [("--increment", "base_increment"),
                                          ("--margin-floor", "margin_floor")])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

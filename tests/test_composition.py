@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from geomorph import (
     select_pair,
 )
 from geomorph.composition import _sum_angle, verify_gold_forms, wrap_angle
-from geomorph.errors import DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem
+from geomorph.errors import (DegenerateSum, EmptyInventory, ShapeMismatch, UnknownStem,
+                             UpdateOverflow)
 
 DEG = math.pi / 180.0
 
@@ -97,6 +99,26 @@ def test_select_pair_empty_inventory():
         select_affix_for_stem(no_affixes, "x", np.array([1.0, 1.0]))
     with pytest.raises(EmptyInventory, match="no affixes"):
         select_affix_by_angle(german_model(), "Kind", [], "pl")
+
+
+@pytest.mark.parametrize("target", [[math.nan, 0.0], [0.0, -math.inf], 2.0, [2.0],
+                                    [1.0, 1.0, 0.0], [[1.0, 1.0]]],
+                         ids=["nan", "-inf", "scalar", "shape (1,)", "shape (3,)", "shape (1, 2)"])
+def test_selections_by_distance_take_only_a_finite_target_of_the_inventory_dimension(target):
+    inv = CompositionInventory({"s": np.array([1.0, 0.0])}, {"a": np.array([0.0, 1.0])}, {})
+    message = "^target must be a finite vector of dimension 2$"
+    with pytest.raises(ShapeMismatch, match=message):
+        select_pair(inv, target)
+    with pytest.raises(ShapeMismatch, match=message):
+        select_affix_for_stem(inv, "s", target)
+
+
+def test_an_overflowing_distance_selects_no_affix_as_decide_selects_no_exponent():
+    """The one affix's distance overflows to inf: its negated row is [-inf], which no entry
+    wins, as `decide` gives -1 on it."""
+    inv = CompositionInventory({"s": np.array([1.0, 0.0])}, {"a": np.array([0.0, 1.0])}, {})
+    with np.errstate(over="ignore"):
+        assert select_affix_for_stem(inv, "s", [1e308, -1e308]) is None
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 0.0], [math.inf, 0.0], [2.0, 0.0], [1 + 1e-7, 0.0]],
@@ -253,6 +275,16 @@ def test_learn_config_max_iters_must_not_be_negative():
         AngleLearnConfig(max_iters=-3)
     # zero runs no pass: the authored or seeded start is reported as it is
     assert AngleLearnConfig(max_iters=0).max_iters == 0
+
+
+@pytest.mark.parametrize("stepsize,max_iters", [(1e308, 3), (1e307, 500)])
+def test_learn_angles_reports_an_overflowing_stepsize(german_plurals, stepsize, max_iters):
+    """An angle that overflows to inf raises UpdateOverflow, not `math.sin`'s ValueError."""
+    message = f"stepsize {stepsize!r} overflows the angle update; use a smaller stepsize"
+    with pytest.raises(UpdateOverflow, match=f"^{re.escape(message)}$"):
+        learn_angles(german_plurals.stem_labels(), german_plurals.affix_labels(),
+                     german_plurals.gold_forms(), german_plurals.plane,
+                     AngleLearnConfig(stepsize=stepsize, max_iters=max_iters))
 
 
 def test_learn_angles_requires_complete_gold(german_plurals):

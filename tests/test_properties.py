@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import geomorph as g
 from geomorph.composition import _sum_angle, wrap_angle
 from geomorph.exponence import (ActivationMatrix, _convergence_test, _margin_positions,
-                                _worst_margins, decide_row, gold_margins, gold_wins)
+                                _worst_margins, decide, decide_row, gold_margin,
+                                gold_margins)
 
 # ---------------------------------------------------------------- helpers
 
@@ -189,9 +190,9 @@ def reference_decision(a):
 
 
 def reference_gold_margin(row, j):
-    """Gold minus best rival in one row given as a list; inf without rivals."""
-    rivals = row[:j] + row[j + 1:]
-    return row[j] - max(rivals) if rivals else math.inf
+    """Gold minus best rival in one row given as a list; a missing rival counts as -inf, as
+    in `gold_margins`, so the margin is inf without rivals (NaN if gold is -inf too)."""
+    return row[j] - max(row[:j] + row[j + 1:], default=-math.inf)
 
 
 def reference_gold_check(a, gold_index, floor):
@@ -235,8 +236,10 @@ def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
     wins = (gold_margins(a, is_gold) > 0).tolist()
     assert wins == [w == j for w, j in zip(ref_winners, gold_index)]
     rows = list(zip(a.tolist(), gold_index))
-    assert [gold_wins(row, j) for row, j in rows] == [
-        reference_gold_margin(row, j) > 0 for row, j in rows]
+    margins = [gold_margin(row, j) for row, j in rows]
+    assert margins == [reference_gold_margin(row, j) for row, j in rows]
+    assert [m > 0 for m in margins] == [reference_gold_margin(row, j) > 0 for row, j in rows]
+    assert rows == list(zip(a.tolist(), gold_index))  # each row is restored after its mask
     assert [decide_row(row) for row, _ in rows] == [-1 if w is None else w for w in ref_winners]
     floor = rng.choice([-0.5, 0.0, 0.02, 0.5])
     worst = _worst_margins(a.ravel(), *_margin_positions(is_gold[None]))
@@ -251,15 +254,23 @@ def test_decision_kernel_matches_per_row_loops(seed, rows, cols):
     ([math.inf, 1.0], [True, False]),
     ([5e-324, 0.0], [True, False]),  # the least subnormal still wins
     ([-2.5], [True]),  # no rivals
+    ([-math.inf], [False]),  # -inf - -inf is NaN: no winner, as for two infs
 ])
-def test_gold_wins_is_the_margin_test_on_edge_rows(row, wins):
-    """`gold_wins` against the per-row oracle and `gold_margins`, for each gold index."""
-    assert [gold_wins(row, j) for j in range(len(row))] == wins
-    assert decide_row(row) == (wins.index(True) if True in wins else -1)
+def test_every_form_of_the_rule_agrees_on_edge_rows(row, wins):
+    """Each gold index's win by `gold_margin`, the per-row oracle and `gold_margins`, and the
+    row's winner by `decide_row` and `decide`."""
+    assert [gold_margin(row, j) > 0 for j in range(len(row))] == wins
     assert [reference_gold_margin(row, j) > 0 for j in range(len(row))] == wins
-    with np.errstate(invalid="ignore"):  # inf - inf
-        margins = gold_margins(np.array([row] * len(row)), np.eye(len(row), dtype=bool))
-    assert (margins > 0).tolist() == wins
+    winner = wins.index(True) if True in wins else -1
+    assert decide_row(row) == winner
+    goals = np.eye(len(row), dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf - inf, -inf - -inf
+        assert (gold_margins(np.array([row] * len(row)), goals) > 0).tolist() == wins
+        assert decide(np.array([row]))[0].tolist() == [winner]
+        # lane j is one cell whose goal is j; `_worst_margins` reads goal-minus-rival
+        # pairs only, so a row without rivals keeps its `initial` inf, even at -inf
+        worst = _worst_margins(np.array(row * len(row)), *_margin_positions(goals[:, None]))
+    assert (worst > 0).tolist() == (wins if len(row) > 1 else [True])
 
 
 # finite activations with exact ties and +0.0 entries; adding 0.0 turns -0.0 into +0.0

@@ -13,11 +13,11 @@ file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
 into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
 `select` and `train` on the second as well as on the bundled flat fixtures,
 `compose` and `select` on each of the rest. The OUT_OPS write their reports
-to files in OUT_DIR, which `diff -r` compares too. The ops run in four
+to files in OUT_DIR, which `diff -r` compares too. The ops run in five
 groups, each followed by `report` on every non-empty JSON output of its ops:
 the second group is `compose` on the tied compositions TIES, the third is
-LONG_RUN_OPS and the fourth LANE_TAIL_OPS, each group run after the earlier
-ones so that no earlier op number depends on it.
+LONG_RUN_OPS, the fourth LANE_TAIL_OPS and the fifth HUGE_STEP_OPS, each group
+run after the earlier ones so that no earlier op number depends on it.
 
 Last, the sweep writes MANIFEST (`MANIFEST.sha256`) into OUT_DIR: a first line
 `# numpy <version>, <BLAS name> <version>, <libc name> <version>`, then one
@@ -158,6 +158,9 @@ LANE_TAIL_OPS = [
       "json"], True),
     (["rotate", MULTI_FEATURE, "--plans", "--format", "tsv"], False),
 ]
+# An angle learner whose step overflows an angle to inf within three passes (exit 1)
+HUGE_STEP_OPS = [(["compose", "german_plurals", "--stepsize", "1e308", "--max-iters", "3",
+                   "--format", "json"], False)]
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"),
@@ -309,7 +312,7 @@ def main(src_dir: str, out_dir: str) -> int:
     for name, text in {**BAD_INPUTS, **TIES, OSCILLATION: _OSCILLATION}.items():
         Path(name).write_text(text, encoding="utf-8")
     n = renders = 0
-    for group in (ops(), TIE_OPS, LONG_RUN_OPS, LANE_TAIL_OPS):
+    for group in (ops(), TIE_OPS, LONG_RUN_OPS, LANE_TAIL_OPS, HUGE_STEP_OPS):
         saved = []
         for argv, traced in group:
             if traced:
