@@ -83,14 +83,19 @@ class AngleModel:
 
 @dataclass(frozen=True)
 class CompositionInventory:
-    """Unit stem and affix vectors plus the gold affix per (stem, slot)."""
+    """Unit stem and affix vectors, 1-D of one dimension, plus the gold affix per (stem, slot)."""
 
     stems: dict[str, np.ndarray]
     affixes: dict[str, np.ndarray]
     gold_forms: dict[tuple[str, str], str]  # (stem, slot value) -> affix
 
     def __post_init__(self):
-        for name, vec in list(self.stems.items()) + list(self.affixes.items()):
+        vectors = [*self.stems.items(), *self.affixes.items()]
+        for name, vec in vectors:
+            if np.ndim(vec) != 1:
+                raise ShapeMismatch(f"vector for {name!r} is not 1-D")
+            if len(vec) != (dim := len(vectors[0][1])):
+                raise ShapeMismatch(f"vector for {name!r} has dimension {len(vec)}, not {dim}")
             n = np.linalg.norm(vec)
             if not abs(n - 1.0) <= UNIT_TOL:  # NaN fails too
                 raise ShapeMismatch(f"vector for {name!r} is not unit length")

@@ -21,22 +21,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureSystem:
-    """Ordered features with ordered values; fixes the coordinate order."""
+    """Ordered features, each with 2+ values, no token empty; fixes the coordinate order."""
 
     features: tuple[tuple[str, tuple[str, ...]], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     value_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.features:
+            raise EmptyFeature("need at least one feature")
         index: dict[str, int] = {}
-        k = 0
         for name, values in self.features:
+            if not name or not all(values):
+                raise EmptyFeature(f"feature {name!r} has an empty token")
             if len(values) < 2:
                 raise EmptyFeature(f"feature {name!r} needs at least 2 values")
             for v in values:
                 if v in index:
                     raise DuplicateValue(f"value {v!r} declared twice")
-                index[v] = k
-                k += 1
+                index[v] = len(index)
+        object.__setattr__(self, "names", tuple([name for name, _ in self.features]))
         object.__setattr__(self, "value_index", index)
 
     @property
@@ -45,7 +49,7 @@ class FeatureSystem:
 
     @property
     def num_features(self) -> int:
-        return len(self.features)
+        return len(self.names)
 
     @property
     def value_names(self) -> tuple[str, ...]:
@@ -60,12 +64,10 @@ class FeatureSystem:
 
 
 def build_feature_system(declarations) -> FeatureSystem:
-    """Build a FeatureSystem from (name, values) pairs, in declaration order."""
-    if not declarations:
-        raise EmptyFeature("need at least one feature")
+    """Build a FeatureSystem from (name, values) pairs as strings; a falsy token is empty."""
     feats = []
     for name, values in declarations:
-        if not name or any(not v for v in values):
+        if not name or not all(values):
             raise EmptyFeature(f"feature {name!r} has an empty token")
         feats.append((str(name), tuple([str(v) for v in values])))
     return FeatureSystem(tuple(feats))
@@ -103,8 +105,8 @@ class ParadigmCell:
         return ",".join(self.values)
 
 
-def _coordinates(cell: ParadigmCell, fs: FeatureSystem, names: list[str]) -> list[int]:
-    """The coordinates of the cell's values; `names` lists the system's features.
+def _coordinates(cell: ParadigmCell, fs: FeatureSystem) -> list[int]:
+    """The coordinates of the cell's values.
 
     Every value must be known and every feature assigned.
     """
@@ -114,9 +116,9 @@ def _coordinates(cell: ParadigmCell, fs: FeatureSystem, names: list[str]) -> lis
         if v not in index:
             raise UnknownValue(f"cell value {v!r} unknown to the feature system")
         coords.append(index[v])
-    assigned = [fname for fname, _ in cell.assignment]
-    if assigned != names:
-        missing = set(names).difference(assigned)
+    assigned = tuple([fname for fname, _ in cell.assignment])
+    if assigned != fs.names:
+        missing = set(fs.names).difference(assigned)
         if missing:
             raise UnknownValue(f"cell does not assign feature(s) {sorted(missing)}")
     return coords
@@ -128,7 +130,7 @@ def corner_vector(cell: ParadigmCell, fs: FeatureSystem) -> np.ndarray:
     L2 norm is sqrt(number of features) by construction.
     """
     vec = np.zeros(fs.num_values)
-    vec[_coordinates(cell, fs, [name for name, _ in fs.features])] = 1.0
+    vec[_coordinates(cell, fs)] = 1.0
     return vec
 
 
@@ -152,11 +154,10 @@ def build_corner_matrix(fs: FeatureSystem, cells) -> CornerMatrix:
         raise ShapeMismatch("need at least one cell")
     if len({c.assignment for c in cells}) != len(cells):
         raise DuplicateCell("duplicate paradigm cell")
-    names = [name for name, _ in fs.features]
     width = fs.num_values
     flat = []  # row-major positions of the ones
     for r, cell in enumerate(cells):
-        flat += [r * width + k for k in _coordinates(cell, fs, names)]
+        flat += [r * width + k for k in _coordinates(cell, fs)]
     mat = np.zeros((len(cells), width))
     mat.put(flat, 1.0)
     return CornerMatrix(fs, cells, _frozen(mat))

@@ -34,7 +34,6 @@ from .features import (
     FeatureSystem,
     ParadigmCell,
     build_corner_matrix,
-    build_feature_system,
 )
 from .rotations import ClassInventory
 
@@ -56,7 +55,7 @@ class ParadigmFile:
     # ---- derived builders -------------------------------------------------
 
     def feature_system(self) -> FeatureSystem:
-        return build_feature_system(self.features)
+        return FeatureSystem(self.features)
 
     def sections(self) -> tuple[str, ...]:
         """The kinds of section the file declares; a parsed file declares one."""

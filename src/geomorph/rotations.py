@@ -348,48 +348,47 @@ def _learn_lanes(base: np.ndarray, phi: np.ndarray, goals: np.ndarray, keys: np.
             records[lane] = RunRecord(False, cfg.max_iters, w, done)
         return records, logs
     for k, (lane, key) in enumerate(zip(live.tolist(), keys.tolist())):
-        records[lane], steps = _finish_lane(phi, b[k].tolist(), stack[k].tolist(),
-                                            goal_index[:, lane].tolist(), coords.tolist(), key,
-                                            done, cfg)
-        logs[lane] += steps
+        records[lane] = _finish_lane(phi, b[k].tolist(), stack[k].tolist(), logs[lane],
+                                     goal_index[:, lane].tolist(), coords, key, done, cfg)
     return records, logs
 
 
-def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]], goal: list[int],
-                 coords: list[list[int]], key: int, done: int,
-                 cfg: RotationLearnConfig) -> tuple[RunRecord, list]:
+def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]], log: list,
+                 goal: list[int], coords: np.ndarray, key: int, done: int,
+                 cfg: RotationLearnConfig) -> RunRecord:
     """Go on with one lane of `_learn_lanes` alone, on Python floats, from sub-iteration `done`.
 
     `b` is the lane's configuration and `acts` its activations `phi @ b`,
-    both as lists of rows; `goal[c]` is the goal exponent of cell c and
-    `coords[c]` the cell's coordinates. Sub-iteration k turns toward
-    coordinate `_pick(key, k, n)` of its cell's n, as in the lockstep (all
-    found at once), so only the key is handed over. Every decision and every
-    rounding is the lockstep's: rival and away are first maxima, as `argmax`;
-    the rows rotate as `c * x + (-s) * y` and `c * y + s * x`; and the
-    activations are the rows of one 2-D product `phi @ b` per sub-iteration,
-    which rounds as the stacked product does and as `activations` computes
-    them. The test is one comparison on the least, over cells, of the goal's
-    `gold_margin`, so a step stops at the first cell that fails it, trying
-    first the cell that failed the step before. The worst margin, the least
-    `gold_margin` (`exponence._worst_margins` on the lane), is computed once,
-    for the record.
+    both as lists of rows, and `log` its log; `goal[c]` is the goal exponent
+    of cell c and `coords[c]` the cell's coordinates. Sub-iteration k turns
+    toward `coords[k % cells, _pick(key, k, n)]`, drawn `_BLOCK`
+    sub-iterations at a time as in the lockstep, so only the key is handed
+    over. Every decision and every rounding is the lockstep's: rival and away
+    are first maxima, as `argmax`; the rows rotate as `c * x + (-s) * y` and
+    `c * y + s * x`; and the activations are the rows of one 2-D product
+    `phi @ b` per sub-iteration, which rounds as the stacked product does and
+    as `activations` computes them. The test is one comparison on the least,
+    over cells, of the goal's `gold_margin`, so a step stops at the first cell
+    that fails it, trying first the cell that failed the step before. The
+    worst margin, the least `gold_margin` (`exponence._worst_margins` on the
+    lane), is computed once, for the record.
 
-    Returns the lane's record and its steps, as `_learn_lanes` logs them.
+    Appends each step to `log` as it is taken, and returns the lane's record.
     """
-    cells, converged = len(coords), _convergence_test(cfg.margin_floor)
-    steps = []
-    picks = _pick(key, np.arange(done, cfg.max_iters * cells, dtype=np.uint64), len(coords[0]))
+    (cells, n), converged = coords.shape, _convergence_test(cfg.margin_floor)
+    limit = cfg.max_iters * cells
     stuck = 0  # the cell that failed the last check: it most often fails the next one too
-    for done, pick in enumerate(picks.tolist(), done):
-        i = done % cells
-        row, j = acts[i], goal[i]
+    for sub in range(done, limit):
+        i, t = sub % cells, (sub - done) % _BLOCK
+        if t == 0:  # the toward coordinates of this sub-iteration and the next _BLOCK - 1
+            k = np.arange(sub, min(sub + _BLOCK, limit), dtype=np.uint64)
+            towards = coords[k % cells, _pick(key, k, n)].tolist()
+        row, j, toward = acts[i], goal[i], towards[t]
         g, row[j] = row[j], -math.inf
         r = row.index(max(row))
         row[j] = g
         theta = cfg.base_increment * sigmoid_gain(row[r], g)
         c, s = math.cos(theta), math.sin(theta)
-        toward = coords[i][pick]
         advantage = [x[j] - x[r] for x in b]
         advantage[toward] = -math.inf
         away = advantage.index(max(advantage))
@@ -399,7 +398,7 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
             theta, s = -theta, -s
         b[away] = [c * x + -s * y for x, y in zip(x_away, x_toward)]
         b[toward] = [c * y + s * x for x, y in zip(x_away, x_toward)]
-        steps += away, toward, theta
+        log += away, toward, theta
         acts = (phi @ np.array(b)).tolist()
         for stuck in (stuck, *range(cells)):  # the test is one comparison on the least margin
             if not converged(gold_margin(acts[stuck], goal[stuck])):
@@ -407,7 +406,7 @@ def _finish_lane(phi: np.ndarray, b: list[list[float]], acts: list[list[float]],
         else:
             break
     worst = min(map(gold_margin, acts, goal))
-    return RunRecord(converged(worst), -(-(done + 1) // cells), worst, done + 1), steps
+    return RunRecord(converged(worst), -(-(sub + 1) // cells), worst, sub + 1)
 
 
 def _plan(label: str, steps: list, rotations: int) -> RotationPlan:

@@ -107,23 +107,32 @@ def _working_state(expo, corners, gold, cfg, stack):
     return b, run
 
 
+def _check_inputs(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable) -> None:
+    """ShapeMismatch unless corners, exponents and a one-hot gold table line up."""
+    if corners.matrix.shape[1] != expo.matrix.shape[0]:
+        raise ShapeMismatch("corner width and exponent height differ")
+    if corners.num_cells != gold.matrix.shape[0] or expo.morphemes != gold.morphemes:
+        raise ShapeMismatch("activation and gold tables do not line up")
+    gold.require_one_hot()
+
+
 def delta_step(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable,
                cfg: TrainConfig) -> tuple[ExponentMatrix, tuple[str, ...]]:
     """One pass over all cells; returns the updated matrix and moved columns.
 
-    It is `train`'s pass, run once on a copy of `expo`. Corners must be 0/1
-    with a 1 in every row, as `build_corner_matrix` makes them. Then the
-    update `b += (eta * corner[:, None]) * d`, d = target - acts, adds the
-    floats of `eta * (corner[:, None] * d)` with one multiply per entry: on a
-    1 row `eta * 1 == eta`, on a 0 row both add a zero with the sign of d
-    (eta > 0), and both overflow at the same inputs.
+    It is `train`'s pass, after its input checks, run once on a copy of
+    `expo`. Corners must be 0/1 with a 1 in every row, as `build_corner_matrix`
+    makes them. Then the update `b += (eta * corner[:, None]) * d`, with
+    d = target - acts, adds the floats of `eta * (corner[:, None] * d)` with
+    one multiply per entry: on a 1 row `eta * 1 == eta`, on a 0 row both add a
+    zero with the sign of d (eta > 0), and both overflow at the same inputs.
 
     Raises ZeroColumn if an update annihilates a column (renormalization
     would be undefined), and UpdateOverflow if an update or its norm
     overflows, which only a huge eta (about 1e154 and up) can cause: so no NaN
     reaches the norms' `min`, as the inputs are finite and an overflow raises first.
     """
-    gold.require_one_hot()
+    _check_inputs(expo, corners, gold)
     b, run = _working_state(expo, corners, gold, cfg, corners.matrix @ expo.matrix)
     moved = run()
     return ExponentMatrix(expo.morphemes, b), tuple(moved)
@@ -142,11 +151,7 @@ def train(expo: ExponentMatrix, corners: CornerMatrix, gold: SelectionTable,
     (`expo` is returned when no pass ran). Non-convergence inside max_iters
     is a reported status, not an error.
     """
-    if corners.matrix.shape[1] != expo.matrix.shape[0]:
-        raise ShapeMismatch("corner width and exponent height differ")
-    if corners.num_cells != gold.matrix.shape[0] or expo.morphemes != gold.morphemes:
-        raise ShapeMismatch("activation and gold tables do not line up")
-    gold.require_one_hot()
+    _check_inputs(expo, corners, gold)
     gold_idx = gold.matrix.argmax(axis=1)
     stack, run, trace = corners.matrix @ expo.matrix, None, TrainTrace()
     for it in range(cfg.max_iters + 1):

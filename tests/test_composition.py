@@ -91,9 +91,10 @@ def test_select_pair_reports_ties():
 
 
 def test_select_pair_empty_inventory():
-    inv = CompositionInventory({}, {"y": np.array([0.0, 1.0])}, {})
-    with pytest.raises(EmptyInventory):
-        select_pair(inv, np.array([1.0, 1.0]))
+    for inv in (CompositionInventory({}, {"y": np.array([0.0, 1.0])}, {}),
+                CompositionInventory({}, {}, {})):
+        with pytest.raises(EmptyInventory):
+            select_pair(inv, np.array([1.0, 1.0]))
     no_affixes = CompositionInventory({"x": np.array([1.0, 0.0])}, {}, {})
     with pytest.raises(EmptyInventory, match="no affixes"):
         select_affix_for_stem(no_affixes, "x", np.array([1.0, 1.0]))
@@ -129,6 +130,19 @@ def test_inventory_rejects_non_unit_vectors(side, bad):
     vectors = {"v": np.array(bad)}
     stems, affixes = (vectors, unit) if side == "stem" else (unit, vectors)
     with pytest.raises(ShapeMismatch, match="'v' is not unit length"):
+        CompositionInventory(stems, affixes, {})
+
+
+@pytest.mark.parametrize("stems,affixes,message", [
+    ({"s": np.array([1.0, 0.0])}, {"a": np.array([1.0, 0.0, 0.0])},
+     "'a' has dimension 3, not 2"),
+    ({"s": np.array([0.0, 1.0, 0.0])}, {"a": np.array([1.0, 0.0])}, "'a' has dimension 2, not 3"),
+    ({"s": np.array([[1.0, 0.0]])}, {"a": np.array([[0.0, 1.0]])}, "'s' is not 1-D"),
+    ({"s": np.array([1.0, 0.0])}, {"a": np.array([[0.0, 1.0]])}, "'a' is not 1-D"),
+    ({"s": np.array(1.0)}, {}, "'s' is not 1-D"),
+], ids=["affix 3 to stem 2", "affix 2 to stem 3", "row vectors", "row affix", "scalar stem"])
+def test_inventory_takes_only_1d_vectors_of_one_dimension(stems, affixes, message):
+    with pytest.raises(ShapeMismatch, match=message):
         CompositionInventory(stems, affixes, {})
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from geomorph import (
     CornerMatrix,
+    FeatureSystem,
     ParadigmCell,
     all_cells,
     build_corner_matrix,
@@ -55,6 +56,18 @@ def test_too_few_values_rejected():
         build_feature_system([])
     with pytest.raises(EmptyFeature, match="empty token"):
         build_feature_system([("tense", ["past", ""])])
+    # a falsy token is empty before it is made a string
+    for declarations in ([(None, ["x", "y"])], [("f", ["a", 0])]):
+        with pytest.raises(EmptyFeature, match="empty token"):
+            build_feature_system(declarations)
+    # the constructor keeps the same rules as the builder
+    with pytest.raises(EmptyFeature, match="need at least one feature"):
+        FeatureSystem(())
+    for features in ((("", ("x", "y")),), (("f", ("a", "")),)):
+        with pytest.raises(EmptyFeature, match="empty token"):
+            FeatureSystem(features)
+    with pytest.raises(EmptyFeature, match="at least 2 values"):
+        FeatureSystem((("tense", ("past",)),))
 
 
 def test_corner_vectors_match_published_rows():

@@ -9,6 +9,7 @@ on Nuer, on hand-made class files and on class files Hypothesis generates.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ def test_picks_spread_evenly_and_agree_on_ints_and_arrays(n):
         counts = np.bincount(lane.astype(np.intp), minlength=n)
         assert counts.size == n
         assert np.all(np.abs(counts - len(k) / n) <= 0.03 * len(k) / n)
-    # the lockstep's array picks are `_finish_lane`'s Python-int picks
+    # a pick is a function of (key, sub-iteration) alone: uint64 arrays give the Python-int picks
     assert picks[:500].tolist() == [[_pick(key, i, n) for key in keys] for i in range(500)]
 
 
@@ -434,9 +435,9 @@ def handovers(monkeypatch):
     """The sub-iteration of every lane `_learn_lanes` hands to `_finish_lane`."""
     calls = []
 
-    def spy(phi, b, acts, goal, coords, key, done, cfg):
+    def spy(phi, b, acts, log, goal, coords, key, done, cfg):
         calls.append(done)
-        return finish(phi, b, acts, goal, coords, key, done, cfg)
+        return finish(phi, b, acts, log, goal, coords, key, done, cfg)
 
     finish = rotations._finish_lane
     monkeypatch.setattr(rotations, "_finish_lane", spy)
@@ -504,15 +505,37 @@ def test_finish_lane_goes_on_from_a_mid_run_state(max_iters):
     ci = inv.labels().index("VI")
     want = _reference_run(None, 0, max_iters, 0.02, ci, 0)
     phi = inv.corners.matrix
-    coords = [np.flatnonzero(row).tolist() for row in phi]
+    coords = np.array([np.flatnonzero(row) for row in phi])
     b = apply_rotation(base, want.plan.rotations[:done]).matrix
     goal = inv.classes["VI"].matrix.argmax(axis=1).tolist()
     cfg = RotationLearnConfig(max_iters=max_iters)
     key = _run_key(0, ci, 0)
-    record, steps = _finish_lane(phi, b.tolist(), (phi @ b).tolist(), goal, coords, key, done, cfg)
+    # the steps one after another, each as away axis, toward axis and signed angle
+    plan = want.plan
+    steps = [x for step in zip(plan.axis_i, plan.axis_j, plan.theta) for x in step]
+    log = steps[: 3 * done]
+    record = _finish_lane(phi, b.tolist(), (phi @ b).tolist(), log, goal, coords, key, done, cfg)
     assert record == RunRecord(want.converged, want.iterations, want.min_margin,
                                len(want.plan.rotations))
     assert record.min_margin.hex() == want.min_margin.hex()
-    # the steps one after another, each as away axis, toward axis and signed angle
-    plan = want.plan
-    assert steps == [x for step in zip(plan.axis_i, plan.axis_j, plan.theta) for x in step][3 * done:]
+    # the first `done` steps are left as they were, and the lane's steps follow them
+    assert log == steps
+
+
+def test_a_larger_iteration_limit_costs_the_search_no_memory():
+    # at seed 0 every Nuer lane converges within 605 sub-iterations, so a limit of 10**5
+    # iterations learns what 500 do; the last lanes draw their picks a block at a time,
+    # not up to the limit, so the peak stays where it is
+    inv, _ = _inventory(None)
+    learned, peaks = [], []
+    for max_iters in (500, 10**5):
+        cfg = RotationLearnConfig(max_iters=max_iters)
+        learn_all_classes(inv, cfg)  # first calls fill caches that would count once
+        tracemalloc.start()
+        try:
+            learned.append(learn_all_classes(inv, cfg))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert learned[1] == learned[0]  # every run record and plan
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * 2**20

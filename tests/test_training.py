@@ -119,21 +119,32 @@ def test_trace_records_mismatch_counts(latin):
     assert all(r.updated for r in trace.records[:-1])
 
 
-def test_tables_that_do_not_line_up_are_rejected(english, russian):
+def test_tables_that_do_not_line_up_are_rejected(english, russian, german_present):
     corners, gold = english.corner_matrix(), english.gold_table()
     expo = initial_exponents(corners, gold)
     other = russian.gold_table()
     tie = SelectionTable(gold.row_labels, gold.morphemes, np.zeros(gold.matrix.shape))
     short = ExponentMatrix(expo.morphemes, np.array(expo.matrix[1:]) / np.linalg.norm(
         expo.matrix[1:], axis=0))
+    # German present (6 cells, 4 exponents): a gold table of its first 3 cells, and one
+    # that lists the same selections with its morphemes reversed
+    de_corners, de_gold = german_present.corner_matrix(), german_present.gold_table()
+    de_expo = initial_exponents(de_corners, de_gold)
+    first_three = SelectionTable(de_gold.row_labels[:3], de_gold.morphemes, de_gold.matrix[:3])
+    reversed_gold = SelectionTable(de_gold.row_labels, de_gold.morphemes[::-1],
+                                   de_gold.matrix[:, ::-1])
     for args, message in (
         ((short, corners, gold), "corner width and exponent height differ"),
         ((expo, corners, other), "activation and gold tables do not line up"),
         ((expo, russian.corner_matrix(), gold), "corner width and exponent height differ"),
         ((expo, corners, tie), "every row must select exactly one exponent"),
+        ((de_expo, de_corners, first_three), "activation and gold tables do not line up"),
+        ((expo, de_corners, de_gold), "activation and gold tables do not line up"),
+        ((de_expo, de_corners, reversed_gold), "activation and gold tables do not line up"),
     ):
-        with pytest.raises(ShapeMismatch, match=message):
-            train(*args)
+        for learn in (train, lambda *args: delta_step(*args, TrainConfig())):
+            with pytest.raises(ShapeMismatch, match=message):
+                learn(*args)
 
 
 def test_config_validation():

@@ -13,11 +13,12 @@ file MULTI_FEATURE, the flat paradigm FLAT_16 and the malformed files BAD_INPUTS
 into OUT_DIR; `rotate` runs on the first as well as on the bundled Nuer classes,
 `select` and `train` on the second as well as on the bundled flat fixtures,
 `compose` and `select` on each of the rest. The OUT_OPS write their reports
-to files in OUT_DIR, which `diff -r` compares too. The ops run in five
+to files in OUT_DIR, which `diff -r` compares too. The ops run in six
 groups, each followed by `report` on every non-empty JSON output of its ops:
 the second group is `compose` on the tied compositions TIES, the third is
-LONG_RUN_OPS, the fourth LANE_TAIL_OPS and the fifth HUGE_STEP_OPS, each group
-run after the earlier ones so that no earlier op number depends on it.
+LONG_RUN_OPS, the fourth LANE_TAIL_OPS, the fifth HUGE_STEP_OPS and the sixth
+LARGE_LIMIT_OPS, each group run after the earlier ones so that no earlier op
+number depends on it.
 
 Last, the sweep writes MANIFEST (`MANIFEST.sha256`) into OUT_DIR: a first line
 `# numpy <version>, <BLAS name> <version>, <libc name> <version>`, then one
@@ -161,6 +162,10 @@ LANE_TAIL_OPS = [
 # An angle learner whose step overflows an angle to inf within three passes (exit 1)
 HUGE_STEP_OPS = [(["compose", "german_plurals", "--stepsize", "1e308", "--max-iters", "3",
                    "--format", "json"], False)]
+# The default rotate search under an iteration limit far above any it reaches: at seed 0
+# every lane converges within 605 sub-iterations, so the limit must cost nothing
+LARGE_LIMIT_OPS = [(["rotate", "nuer_classes", "--max-iters", "100000", "--plans", "--format",
+                     "json"], False)]
 WRONG_KIND = (("select", "german_plurals"), ("select", "nuer_classes"),
               ("train", "nuer_classes"), ("init", "german_plurals"),
               ("compose", "english_weak_verb"), ("rotate", "english_weak_verb"),
@@ -312,7 +317,7 @@ def main(src_dir: str, out_dir: str) -> int:
     for name, text in {**BAD_INPUTS, **TIES, OSCILLATION: _OSCILLATION}.items():
         Path(name).write_text(text, encoding="utf-8")
     n = renders = 0
-    for group in (ops(), TIE_OPS, LONG_RUN_OPS, LANE_TAIL_OPS, HUGE_STEP_OPS):
+    for group in (ops(), TIE_OPS, LONG_RUN_OPS, LANE_TAIL_OPS, HUGE_STEP_OPS, LARGE_LIMIT_OPS):
         saved = []
         for argv, traced in group:
             if traced:
